@@ -167,37 +167,20 @@ def _as_distribution(dist) -> np.ndarray:
     return arr / total
 
 
-def entropy(dist, unit: str = NATS) -> InfoQuantity:
-    """Shannon entropy of a probability vector, with 0 log 0 = 0."""
-    arr = _as_distribution(dist)
+def _entropy_nats(arr: np.ndarray) -> float:
     support = arr[arr > 0]
     # every term of -p log p is nonnegative once p <= 1, so no clamp needed
-    value = float(-(support * np.log(support)).sum())
-    return InfoQuantity(value, NATS).to(unit)
+    return float(-(support * np.log(support)).sum())
 
 
-def conditional_entropy(joint: JointTable, unit: str = NATS) -> InfoQuantity:
-    """H(S | X): expected entropy of the columns given the row.
-
-    Rows with zero marginal probability contribute nothing.
-    """
-    p = joint.probabilities
-    px = p.sum(axis=1)
-    mask = p > 0
-    cells = p[mask]
-    px_cells = np.broadcast_to(px[:, None], p.shape)[mask]
-    value = float((cells * (np.log(px_cells) - np.log(cells))).sum())
-    return InfoQuantity(value, NATS).to(unit)
+def entropy(dist, unit: str = NATS) -> InfoQuantity:
+    """Shannon entropy of a probability vector, with 0 log 0 = 0."""
+    return InfoQuantity(_entropy_nats(_as_distribution(dist)), NATS).to(unit)
 
 
-def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
-    """I(X; S) between the row and column variables of a joint table.
-
-    Computed both as the KL form and as H(S) - H(S|X); disagreement
-    beyond :data:`FORMULA_AGREEMENT` raises. Negative round-off within
-    :data:`NEG_CLAMP` is clamped to zero with a warning carrying the
-    raw value.
-    """
+def _measures(joint: JointTable) -> tuple[float, float, float]:
+    """KL-form I(X; S), H(S) and H(S|X) in nats, from one set of
+    marginals, support mask and logs."""
     p = joint.probabilities
     px = p.sum(axis=1)
     ps = p.sum(axis=0)
@@ -207,8 +190,26 @@ def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
     ps_cells = np.broadcast_to(ps[None, :], p.shape)[mask]
     if np.any(px_cells <= 0) or np.any(ps_cells <= 0):
         raise ValidationError("joint table has a supported cell with zero marginal")
-    direct = float((cells * (np.log(cells) - np.log(px_cells) - np.log(ps_cells))).sum())
-    difference = entropy(ps, NATS).value - conditional_entropy(joint, NATS).value
+    log_cells = np.log(cells)
+    log_px = np.log(px_cells)
+    direct = float((cells * (log_cells - log_px - np.log(ps_cells))).sum())
+    # renormalized as entropy() does, so h_s equals entropy(joint.s_marginal())
+    h_s = _entropy_nats(ps / ps.sum())
+    return direct, h_s, float((cells * (log_px - log_cells)).sum())
+
+
+def conditional_entropy(joint: JointTable, unit: str = NATS) -> InfoQuantity:
+    """H(S | X): expected entropy of the columns given the row.
+
+    Rows with zero marginal probability contribute nothing.
+    """
+    return InfoQuantity(_measures(joint)[2], NATS).to(unit)
+
+
+def _information(joint: JointTable) -> tuple[float, float]:
+    """Checked I(X; S) and H(S) in nats, as :func:`mutual_information` documents."""
+    direct, h_s, h_s_given_x = _measures(joint)
+    difference = h_s - h_s_given_x
     if abs(direct - difference) > FORMULA_AGREEMENT:
         raise ValidationError(
             "mutual-information formulas disagree beyond tolerance: "
@@ -223,10 +224,33 @@ def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
         warnings.warn(
             f"clamped negative round-off mutual information {value!r} to 0",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         value = 0.0
-    return InfoQuantity(value, NATS).to(unit)
+    return value, h_s
+
+
+def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
+    """I(X; S) between the row and column variables of a joint table.
+
+    Computed both as the KL form and as H(S) - H(S|X); disagreement
+    beyond :data:`FORMULA_AGREEMENT` raises. Negative round-off within
+    :data:`NEG_CLAMP` is clamped to zero with a warning carrying the
+    raw value.
+    """
+    return InfoQuantity(_information(joint)[0], NATS).to(unit)
+
+
+def _exposure(joint: JointTable) -> tuple[float, float]:
+    """I(X; S) in nats and the exposure ratio, from one MI computation."""
+    nats, h_s = _information(joint)
+    if h_s <= 0.0:
+        raise ValidationError(
+            "profile entropy is zero; exposure ratio undefined "
+            "(the prior already determines the profile)"
+        )
+    ratio = nats / h_s
+    return nats, 1.0 if ratio >= 1.0 - NEG_CLAMP else max(ratio, 0.0)
 
 
 def exposure_ratio(joint: JointTable) -> float:
@@ -236,31 +260,15 @@ def exposure_ratio(joint: JointTable) -> float:
     Endpoints are snapped within :data:`NEG_CLAMP` so exact zero and
     exact one survive round-off.
     """
-    h_s = entropy(joint.s_marginal(), NATS).value
-    if h_s <= 0.0:
-        raise ValidationError(
-            "profile entropy is zero; exposure ratio undefined "
-            "(the prior already determines the profile)"
-        )
-    ratio = mutual_information(joint, NATS).value / h_s
-    if ratio >= 1.0 - NEG_CLAMP:
-        return 1.0
-    return max(ratio, 0.0)
+    return _exposure(joint)[1]
 
 
-def marginal_mi(
-    joint: JointTable,
-    schema: ProfileSchema,
-    subset,
-    unit: str = NATS,
-) -> InfoQuantity:
-    """I(X; S_A) for a subset A of protected attributes.
-
-    The joint table's columns must enumerate the schema's full
-    intersection labels (see :func:`build_intersection_labels`); columns
-    are collapsed by summing over the attributes outside the subset.
-    ``subset`` holds attribute indices into ``schema.attributes``.
-    """
+def _subset_indices(schema: ProfileSchema, subset) -> list[int]:
+    """Sorted distinct indices into ``schema.attributes``, validated."""
+    subset = list(subset)
+    for i in subset:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValidationError(f"attribute index {i!r} is not an integer")
     indices = sorted(set(int(i) for i in subset))
     if not indices:
         raise ValidationError("attribute subset must not be empty")
@@ -271,26 +279,49 @@ def marginal_mi(
             f"attribute index {out_of_range[0]} out of range for "
             f"{m} protected attributes"
         )
-    expected = build_intersection_labels(schema)
-    if tuple(joint.s_levels) != expected:
+    return indices
+
+
+def _subset_tables(joint: JointTable, schema: ProfileSchema, subsets):
+    """Yield the joint table of X with each subset of attributes; the
+    reshape is exact because the intersection labels enumerate the level
+    cross-product in C order, putting attribute i on axis i + 1."""
+    if tuple(joint.s_levels) != build_intersection_labels(schema):
         raise ValidationError(
             "joint table columns do not match the schema's intersection labels"
         )
-    kept_pools = [schema.attributes[i].levels for i in indices]
-    kept_combos = list(itertools.product(*kept_pools))
-    column_of = {combo: j for j, combo in enumerate(kept_combos)}
-    collapsed = np.zeros((len(joint.x_levels), len(kept_combos)))
-    all_pools = [a.levels for a in schema.attributes]
-    for j, combo in enumerate(itertools.product(*all_pools)):
-        key = tuple(combo[i] for i in indices)
-        collapsed[:, column_of[key]] += joint.probabilities[:, j]
-    labels = tuple(LABEL_SEP.join(combo) for combo in kept_combos)
-    return mutual_information(JointTable(joint.x_levels, labels, collapsed), unit)
+    attributes = schema.attributes
+    nx = len(joint.x_levels)
+    tensor = joint.probabilities.reshape([nx] + [len(a.levels) for a in attributes])
+    for indices in subsets:
+        dropped = tuple(1 + i for i in range(len(attributes)) if i not in indices)
+        collapsed = tensor.sum(axis=dropped).reshape(nx, -1)
+        pools = [attributes[i].levels for i in indices]
+        labels = tuple(LABEL_SEP.join(combo) for combo in itertools.product(*pools))
+        yield JointTable(joint.x_levels, labels, collapsed)
+
+
+def marginal_mi(
+    joint: JointTable,
+    schema: ProfileSchema,
+    subset,
+    unit: str = NATS,
+) -> InfoQuantity:
+    """I(X; S_A) for a subset A of protected attributes.
+
+    ``subset`` holds integer indices into ``schema.attributes``; bools
+    and non-integers are rejected. The joint table's columns must match
+    the schema's intersection labels (see :func:`build_intersection_labels`);
+    the table is reshaped to a tensor of shape (|X|, k_1, ..., k_m) and
+    the attributes outside A are summed out in one reduction.
+    """
+    (table,) = _subset_tables(joint, schema, [_subset_indices(schema, subset)])
+    return mutual_information(table, unit)
 
 
 def subset_key(schema: ProfileSchema, subset) -> str:
     """Canonical name for an attribute subset: names joined with ``+``."""
-    indices = sorted(set(int(i) for i in subset))
+    indices = _subset_indices(schema, subset)
     return LABEL_SEP.join(schema.attributes[i].name for i in indices)
 
 
@@ -302,7 +333,10 @@ def intersection_leakage_report(
     """Leakage for every non-empty attribute subset, keyed by subset name.
 
     Enumerates all 2^m - 1 subsets, so m is capped at
-    :data:`MAX_REPORT_ATTRIBUTES`.
+    :data:`MAX_REPORT_ATTRIBUTES`. The columns are checked against the
+    intersection labels and reshaped into the (|X|, k_1, ..., k_m) tensor
+    once per report; each subset is then one sum over the axes it drops,
+    so entries equal :func:`marginal_mi` exactly.
     """
     m = len(schema.attributes)
     if m > MAX_REPORT_ATTRIBUTES:
@@ -310,11 +344,14 @@ def intersection_leakage_report(
             f"leakage report enumerates 2^m subsets; refusing m={m} > "
             f"{MAX_REPORT_ATTRIBUTES} attributes"
         )
-    report: dict[str, InfoQuantity] = {}
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            report[subset_key(schema, combo)] = marginal_mi(joint, schema, combo, unit)
-    return report
+    subsets = [
+        combo for size in range(1, m + 1) for combo in itertools.combinations(range(m), size)
+    ]
+    tables = _subset_tables(joint, schema, subsets)
+    return {
+        subset_key(schema, combo): mutual_information(table, unit)
+        for combo, table in zip(subsets, tables)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from .infotheory import (
     NATS,
     InfoQuantity,
     JointTable,
-    exposure_ratio,
-    mutual_information,
+    _exposure,
 )
 from .schema import load_yaml_doc
 
@@ -204,8 +203,7 @@ def price_exposure(policy: PricingPolicy, joint: JointTable) -> PriceQuote:
     """
     if policy.max_penalty is None:
         raise ValidationError("exposure pricing needs a maximum penalty in the policy")
-    ratio = exposure_ratio(joint)
-    nats = mutual_information(joint, NATS).value
+    nats, ratio = _exposure(joint)
     surcharge = to_decimal(ratio) * policy.max_penalty
     return _quote(EXPOSURE, nats, policy, surcharge)
 

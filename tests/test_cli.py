@@ -225,14 +225,20 @@ class TestPriceCommand:
         assert "total = 551.5304 USD" in lines
 
     def test_weighted_machine_subsets(self, runner, data_dir):
-        doc = json.loads(
-            ok(runner, "price", "--policy", data_dir / "policy_weighted.yaml",
-               "--table", data_dir / "timeofday_sex_disability.csv",
-               "--schema", data_dir / "profile_schema.yaml", "--format", "machine")
+        out = ok(runner, "price", "--policy", data_dir / "policy_weighted.yaml",
+                 "--table", data_dir / "timeofday_sex_disability.csv",
+                 "--schema", data_dir / "profile_schema.yaml", "--format", "machine")
+        # the demo's machine output is pinned byte for byte
+        assert out == (
+            '{"rule": "weighted", "leakage": 0.18176262707243257, "unit": "nats", '
+            '"leakage_nats": 0.18176262707243257, "production": "0.0010", '
+            '"surcharge": "551.5294", "total": "551.5304", "currency": "USD", '
+            '"subsets": {"sex": 0.08630462173553415, '
+            '"disability": 0.004021743230482353, '
+            '"sex+disability": 0.09143626210641607}}\n'
         )
         full = oracles.mi_nats(oracles.INTERSECT_TABLE)
-        assert doc["subsets"]["sex+disability"] == pytest.approx(full, rel=1e-12)
-        assert doc["total"] == "551.5304"
+        assert json.loads(out)["subsets"]["sex+disability"] == pytest.approx(full, rel=1e-12)
 
     def test_linear_requires_leakage(self, runner, data_dir):
         result = invoke(runner, "price", "--policy", data_dir / "policy_linear.yaml")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -219,6 +220,18 @@ class TestMarginalMI:
         with pytest.raises(ValidationError, match="out of range"):
             marginal_mi(intersect_table, intersect_schema, [2])
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, "1"])
+    def test_non_integer_index_rejected(self, intersect_table, intersect_schema, bad):
+        with pytest.raises(ValidationError, match="not an integer"):
+            marginal_mi(intersect_table, intersect_schema, [bad])
+        with pytest.raises(ValidationError, match="not an integer"):
+            subset_key(intersect_schema, [0, bad])
+
+    def test_numpy_integer_index_accepted(self, intersect_table, intersect_schema):
+        got = marginal_mi(intersect_table, intersect_schema, [np.int64(1)]).value
+        assert got == marginal_mi(intersect_table, intersect_schema, [1]).value
+        assert subset_key(intersect_schema, np.array([1, 0])) == "sex+disability"
+
     def test_mismatched_columns_rejected(self, single_table, intersect_schema):
         with pytest.raises(ValidationError, match="intersection labels"):
             marginal_mi(single_table, intersect_schema, [0])
@@ -236,6 +249,27 @@ class TestLeakageReport:
     def test_enumerates_all_subsets(self, intersect_table, intersect_schema):
         report = intersection_leakage_report(intersect_table, intersect_schema)
         assert set(report) == {"sex", "disability", "sex+disability"}
+
+    @pytest.mark.parametrize("counts", [(3, 2, 4), (2, 2, 2, 2), (4,), (2, 3, 1, 2)])
+    def test_matches_oracle_on_non_binary_schemas(self, make_attribute_table, counts):
+        rng = np.random.default_rng(sum(counts))
+        table, schema = make_attribute_table(rng, level_counts=counts, nx=3)
+        cells = table.probabilities.tolist()
+        levels = [label.split("+") for label in table.s_levels]
+        report = intersection_leakage_report(table, schema)
+        assert len(report) == 2 ** len(counts) - 1
+        for size in range(1, len(counts) + 1):
+            for subset in itertools.combinations(range(len(counts)), size):
+                # oracle groups: columns whose labels agree on the kept levels
+                kept = [tuple(parts[i] for i in subset) for parts in levels]
+                groups = [
+                    [j for j, key in enumerate(kept) if key == group]
+                    for group in dict.fromkeys(kept)
+                ]
+                expected = oracles.mi_nats(oracles.collapse_columns(cells, groups))
+                got = report[subset_key(schema, subset)].value
+                assert got == pytest.approx(expected, abs=1e-12)
+                assert got == marginal_mi(table, schema, subset).value
 
     def test_subset_key_sorted_by_schema_order(self, intersect_schema):
         assert subset_key(intersect_schema, (1, 0)) == "sex+disability"
