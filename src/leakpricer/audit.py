@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
-from .pricing import LINEAR, PricingPolicy, quantize_money, to_decimal
+from .pricing import LINEAR, PricingPolicy, _linear_surcharge, quantize_money, to_decimal
 
 CONSENT_PENDING = "pending"
 CONSENT_GRANTED = "granted"
@@ -124,7 +124,7 @@ def record_event(
             f"session is closed ({ledger.consent}); no further events"
         )
     nats = leakage.in_nats()
-    surcharge = quantize_money(to_decimal(ledger.policy.rate_per_nat) * to_decimal(nats))
+    surcharge = quantize_money(_linear_surcharge(ledger.policy.rate_per_nat, nats))
     event = AuditEvent(
         sequence=len(ledger.events) + 1,
         timestamp=timestamp or datetime.now(timezone.utc).isoformat(),
@@ -222,7 +222,6 @@ def _policy_payload(policy: PricingPolicy) -> dict:
         "lambda_unit": "per_nat",
         "pi_max": str(policy.max_penalty) if policy.max_penalty is not None else None,
         "currency": policy.currency,
-        "exchange_rate": policy.exchange_rate,
     }
 
 
@@ -279,7 +278,7 @@ def read_ledger(path) -> SessionLedger:
             raise ParseError(f"{p}:{lineno}: invalid ledger line: {exc}") from None
     if not records:
         raise ParseError(f"{p}: empty ledger file")
-    _, header = records[0]
+    header_lineno, header = records[0]
     if not isinstance(header, dict) or "session" not in header or "policy" not in header:
         raise ParseError(f"{p}: first ledger line must be the session header")
     raw_policy = header["policy"]
@@ -293,10 +292,11 @@ def read_ledger(path) -> SessionLedger:
                 else None
             ),
             currency=raw_policy.get("currency", "USD"),
-            exchange_rate=raw_policy.get("exchange_rate"),
         )
     except (KeyError, TypeError, ArithmeticError) as exc:
         raise ParseError(f"{p}: malformed policy header: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{p}:{header_lineno}: {exc}") from None
     consent = header.get("consent", CONSENT_PENDING)
     if consent not in (CONSENT_PENDING, *_DECISIONS):
         raise ParseError(f"{p}: unknown consent state {consent!r}")
@@ -316,11 +316,13 @@ def read_ledger(path) -> SessionLedger:
                 timestamp=str(record["timestamp"]),
                 observable=str(record["observable"]),
                 leakage_nats=float(record["leakage_nats"]),
-                surcharge=Decimal(record["surcharge"]),
+                surcharge=to_decimal(Decimal(record["surcharge"])),
                 rule=str(record["rule"]),
             )
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"{p}:{lineno}: malformed event: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{p}:{lineno}: {exc}") from None
         if event.sequence != len(events) + 1:
             raise ParseError(
                 f"{p}:{lineno}: event sequence {event.sequence} breaks the "

@@ -125,8 +125,6 @@ class LogDensities(NamedTuple):
 def kde_log_densities(
     samples: SampleSet,
     bandwidths: dict[str, Bandwidth],
-    *,
-    allow_pure_categorical: bool = False,
 ) -> LogDensities:
     """log p(x_i, s_i), log p(x_i), log p(s_i) at every sample point.
 
@@ -139,19 +137,13 @@ def kde_log_densities(
     first offending sample; marginals are floored at
     :data:`LOG_FLOOR` with a warning.
 
-    Pure categorical data is better served by :func:`empirical_joint`;
-    pass ``allow_pure_categorical=True`` to force kernel evaluation
-    anyway (indicator kernels make the two routes agree).
+    All-categorical data is accepted; its indicator kernels make the
+    estimate agree with plug-in counting (:func:`empirical_joint`).
     """
     schema = samples.schema
     if samples.n < 2:
         raise ValidationError("kernel density estimation needs at least two samples")
     continuous = schema.continuous_columns
-    if not continuous and not allow_pure_categorical:
-        raise ValidationError(
-            "all attributes are categorical; use plug-in counting, or pass "
-            "allow_pure_categorical=True to force kernel evaluation"
-        )
     missing = [spec.name for spec in continuous if spec.name not in bandwidths]
     if missing:
         raise ValidationError(
@@ -211,8 +203,6 @@ def mc_mutual_information(
     samples: SampleSet,
     bandwidths: dict[str, Bandwidth],
     seed: int = 0,
-    *,
-    allow_pure_categorical: bool = False,
 ) -> MIEstimate:
     """Resubstitution Monte Carlo estimate of I(X; S) in nats.
 
@@ -220,9 +210,7 @@ def mc_mutual_information(
     value is deterministic and seed-independent; the seed is recorded
     purely as provenance for pipelines that generated the data from it.
     """
-    densities = kde_log_densities(
-        samples, bandwidths, allow_pure_categorical=allow_pure_categorical
-    )
+    densities = kde_log_densities(samples, bandwidths)
     raw = float(np.mean(densities.joint - densities.x - densities.s))
     widths = {
         spec.name: bandwidths[spec.name].width
@@ -254,11 +242,6 @@ def estimate_mi(
     if method is None:
         method = KDE_MC if continuous else PLUGIN
     if method == PLUGIN:
-        if continuous:
-            raise ValidationError(
-                f"plug-in estimation needs all-categorical data; "
-                f"{continuous[0].name!r} is continuous (discretize first)"
-            )
         mi = mutual_information(empirical_joint(samples), NATS)
         return MIEstimate(
             value=mi,
@@ -273,7 +256,5 @@ def estimate_mi(
         for spec in continuous:
             if spec.name not in widths:
                 widths[spec.name] = silverman_bandwidth(samples.column(spec.name))
-        return mc_mutual_information(
-            samples, widths, seed=seed, allow_pure_categorical=not continuous
-        )
+        return mc_mutual_information(samples, widths, seed=seed)
     raise ValidationError(f"unknown estimation method {method!r}")

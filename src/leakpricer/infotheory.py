@@ -83,9 +83,30 @@ class InfoQuantity:
         return InfoQuantity(self.in_nats() if unit == NATS else self.in_bits(), unit)
 
 
-def convert_units(quantity: InfoQuantity, unit: str) -> InfoQuantity:
-    """Convert between nats and bits; idempotent when units already match."""
-    return quantity.to(unit)
+def _normalized(p: np.ndarray, what: str) -> np.ndarray:
+    """``p`` divided by its sum, once its entries are checked to be finite,
+    nonnegative and to sum to 1 within :data:`SUM_TOLERANCE`; renormalizing
+    by more than :data:`_QUIET_RENORM` warns."""
+    if p.size == 0:
+        raise ValidationError(f"{what} must be non-empty")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"{what} entries must be finite")
+    if np.any(p < 0):
+        raise ValidationError(f"{what} entries must be nonnegative")
+    total = float(p.sum())
+    deviation = abs(total - 1.0)
+    if deviation > SUM_TOLERANCE:
+        raise ValidationError(
+            f"{what} entries sum to {total:.6f}, deviating from 1 "
+            f"by more than {SUM_TOLERANCE}"
+        )
+    if deviation > _QUIET_RENORM:
+        warnings.warn(
+            f"{what} renormalized; entries summed to {total!r}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return p / total
 
 
 @dataclass(frozen=True)
@@ -118,24 +139,7 @@ class JointTable:
                 f"probability matrix shape {p.shape} does not match "
                 f"{len(x_levels)} rows x {len(s_levels)} columns"
             )
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("joint table entries must be finite")
-        if np.any(p < 0):
-            raise ValidationError("joint table entries must be nonnegative")
-        total = float(p.sum())
-        deviation = abs(total - 1.0)
-        if deviation > SUM_TOLERANCE:
-            raise ValidationError(
-                f"joint table entries sum to {total:.6f}, deviating from 1 "
-                f"by more than {SUM_TOLERANCE}"
-            )
-        if deviation > _QUIET_RENORM:
-            warnings.warn(
-                f"joint table renormalized; entries summed to {total!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        p /= total
+        p = _normalized(p, "joint table")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
@@ -150,23 +154,6 @@ class JointTable:
         return JointTable(self.s_levels, self.x_levels, self.probabilities.T)
 
 
-def _as_distribution(dist) -> np.ndarray:
-    arr = np.array(dist, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValidationError("distribution must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("distribution entries must be finite")
-    if np.any(arr < 0):
-        raise ValidationError("distribution entries must be nonnegative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise ValidationError(
-            f"distribution sums to {total:.6f}, deviating from 1 "
-            f"by more than {SUM_TOLERANCE}"
-        )
-    return arr / total
-
-
 def _entropy_nats(arr: np.ndarray) -> float:
     support = arr[arr > 0]
     # every term of -p log p is nonnegative once p <= 1, so no clamp needed
@@ -174,8 +161,12 @@ def _entropy_nats(arr: np.ndarray) -> float:
 
 
 def entropy(dist, unit: str = NATS) -> InfoQuantity:
-    """Shannon entropy of a probability vector, with 0 log 0 = 0."""
-    return InfoQuantity(_entropy_nats(_as_distribution(dist)), NATS).to(unit)
+    """Shannon entropy of a probability vector, with 0 log 0 = 0.
+
+    The vector is checked and renormalized as :class:`JointTable` entries are.
+    """
+    p = _normalized(np.array(dist, dtype=float).ravel(), "distribution")
+    return InfoQuantity(_entropy_nats(p), NATS).to(unit)
 
 
 def _measures(joint: JointTable) -> tuple[float, float, float]:

@@ -43,17 +43,16 @@ RULES = (LINEAR, WEIGHTED, EXPOSURE)
 
 
 def to_decimal(amount) -> Decimal:
-    """Exact decimal from a number's shortest round-trip representation."""
-    if isinstance(amount, Decimal):
-        return amount
-    if isinstance(amount, bool) or not isinstance(amount, (int, float, str)):
+    """Exact, finite decimal from a number's shortest round-trip representation."""
+    if isinstance(amount, bool) or not isinstance(amount, (Decimal, int, float, str)):
         raise ValidationError(f"cannot interpret {amount!r} as a money amount")
-    if isinstance(amount, float) and not math.isfinite(amount):
-        raise ValidationError(f"money amount must be finite, got {amount!r}")
     try:
-        return Decimal(str(amount))
+        value = amount if isinstance(amount, Decimal) else Decimal(str(amount))
     except InvalidOperation:
         raise ValidationError(f"cannot interpret {amount!r} as a money amount") from None
+    if not value.is_finite():
+        raise ValidationError(f"money amount must be finite, got {amount!r}")
+    return value
 
 
 def quantize_money(amount) -> Decimal:
@@ -76,7 +75,6 @@ class PricingPolicy:
     subset_rates_per_nat: dict[str, float] | None = None
     max_penalty: Decimal | None = None
     currency: str = "USD"
-    exchange_rate: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "production_cost", to_decimal(self.production_cost))
@@ -106,11 +104,6 @@ class PricingPolicy:
             object.__setattr__(self, "max_penalty", ceiling)
             if not ceiling > 0:
                 raise ValidationError("maximum penalty must be strictly positive")
-        if self.exchange_rate is not None:
-            rho = float(self.exchange_rate)
-            object.__setattr__(self, "exchange_rate", rho)
-            if not (math.isfinite(rho) and rho > 0):
-                raise ValidationError("exchange rate must be strictly positive")
         if (
             self.rate_per_nat is None
             and self.subset_rates_per_nat is None
@@ -147,6 +140,11 @@ class PriceQuote:
             raise ValidationError("total must equal production plus surcharge exactly")
 
 
+def _linear_surcharge(rate_per_nat, nats) -> Decimal:
+    """Exact, unrounded rate times leakage in nats."""
+    return to_decimal(rate_per_nat) * to_decimal(nats)
+
+
 def _quote(rule, leakage_nats, policy, surcharge) -> PriceQuote:
     return PriceQuote(
         rule=rule,
@@ -168,8 +166,7 @@ def price_linear(policy: PricingPolicy, leakage: InfoQuantity) -> PriceQuote:
     if policy.rate_per_nat is None:
         raise ValidationError("linear pricing needs a scalar rate in the policy")
     nats = leakage.in_nats()
-    surcharge = to_decimal(policy.rate_per_nat) * to_decimal(nats)
-    return _quote(LINEAR, nats, policy, surcharge)
+    return _quote(LINEAR, nats, policy, _linear_surcharge(policy.rate_per_nat, nats))
 
 
 def price_weighted(
@@ -190,7 +187,7 @@ def price_weighted(
     priced_nats = 0.0
     for key, rate in policy.subset_rates_per_nat.items():
         nats = leakage_by_subset[key].in_nats()
-        surcharge += to_decimal(rate) * to_decimal(nats)
+        surcharge += _linear_surcharge(rate, nats)
         priced_nats += nats
     return _quote(WEIGHTED, priced_nats, policy, surcharge)
 
@@ -220,7 +217,10 @@ def calibrate_lambda(max_penalty, baseline_entropy: InfoQuantity) -> float:
     h_nats = baseline_entropy.in_nats()
     if h_nats <= 0:
         raise ValidationError("baseline entropy must be strictly positive")
-    return float(ceiling) / h_nats
+    rate = float(ceiling) / h_nats
+    if not math.isfinite(rate):
+        raise ValidationError(f"calibrated rate overflows at entropy {h_nats!r} nats")
+    return rate
 
 
 def convert_lambda(
@@ -279,10 +279,9 @@ def price_curve(
     if rule == LINEAR:
         if policy.rate_per_nat is None:
             raise ValidationError("linear curve needs a scalar rate in the policy")
-        rate = to_decimal(policy.rate_per_nat)
 
         def total_at(nats: float) -> Decimal:
-            return policy.production_cost + rate * to_decimal(nats)
+            return policy.production_cost + _linear_surcharge(policy.rate_per_nat, nats)
 
     elif rule == EXPOSURE:
         if policy.max_penalty is None:
@@ -335,13 +334,13 @@ def load_policy(path) -> PricingPolicy:
 
     Keys: ``c_p`` (required), ``lambda`` (scalar, or map keyed by subset
     name), ``lambda_unit`` (``per_nat`` default, or ``per_bit``),
-    ``pi_max``, ``currency``, ``exchange_rate``. Per-bit rates are
+    ``pi_max``, ``currency``. Per-bit rates are
     converted to per-nat on load; everything downstream is per nat.
     """
     doc = load_yaml_doc(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: policy document must be a mapping")
-    known = {"c_p", "lambda", "lambda_unit", "pi_max", "currency", "exchange_rate"}
+    known = {"c_p", "lambda", "lambda_unit", "pi_max", "currency"}
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"{path}: unknown policy key {sorted(unknown)[0]!r}")
@@ -361,7 +360,8 @@ def load_policy(path) -> PricingPolicy:
                 f"{path}: {key} must be numeric, got {value!r}"
             ) from None
 
-    # a per-bit rate charges less per nat: divide by ln 2 to store per nat
+    # a per-bit rate charges more per nat (lambda_b / ln 2 > lambda_b):
+    # divide by ln 2 to store per nat
     scale = 1.0 if unit == PER_NAT else 1.0 / LN2
     raw_rate = doc.get("lambda")
     rate = None
@@ -379,9 +379,4 @@ def load_policy(path) -> PricingPolicy:
         subset_rates_per_nat=subset_rates,
         max_penalty=to_decimal(ceiling) if ceiling is not None else None,
         currency=str(doc.get("currency", "USD")),
-        exchange_rate=(
-            _number(doc["exchange_rate"], "exchange_rate")
-            if doc.get("exchange_rate") is not None
-            else None
-        ),
     )

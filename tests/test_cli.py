@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,3 +455,305 @@ class TestExitCodes:
     def test_version_flag(self, runner):
         out = ok(runner, "--version")
         assert out.startswith("leakpricer, version ")
+
+
+AUDIT_TEXT = (
+    "session c48ed29ce635f378\n"
+    "decision: granted\n"
+    "\n"
+    "  seq  timestamp                  observable            leakage (nats)  surcharge\n"
+    "    1  2024-05-01T09:00:00+00:00  request timestamp           0.020000   1886.7925\n"
+    "    2  2024-05-01T09:05:00+00:00  request timestamp           0.020000   1886.7925\n"
+    "\n"
+    "total leakage:   0.040000 nats (0.057708 bits)\n"
+    "production cost: 0.0010 USD\n"
+    "total surcharge: 3773.5850 USD\n"
+    "grand total:     3773.5860 USD\n"
+    "note: total leakage sums per-event values assuming independent observations; "
+    "correlated events are not adjusted for\n"
+)
+
+AUDIT_MACHINE = (
+    '{"session": "c48ed29ce635f378", "decision": "granted", "events": 2, '
+    '"total_leakage_nats": 0.04, "production_cost": "0.0010", '
+    '"total_surcharge": "3773.5850", "grand_total": "3773.5860", "currency": "USD", '
+    '"disclaimer": "note: total leakage sums per-event values assuming independent '
+    'observations; correlated events are not adjusted for"}\n'
+)
+
+# The ledger the bundled audit demo wrote before the policy lost its
+# exchange_rate field; its header still carries the key.
+OLD_DEMO_LEDGER = (
+    '{"session": "c48ed29ce635f378", "policy": {"c_p": "0.001", '
+    '"lambda": 94339.62264150944, "lambda_unit": "per_nat", "pi_max": "500000", '
+    '"currency": "USD", "exchange_rate": null}, "consent": "granted"}\n'
+    '{"sequence": 1, "timestamp": "2024-05-01T09:00:00+00:00", '
+    '"observable": "request timestamp", "leakage_nats": 0.02, '
+    '"surcharge": "1886.7925", "rule": "linear"}\n'
+    '{"sequence": 2, "timestamp": "2024-05-01T09:05:00+00:00", '
+    '"observable": "request timestamp", "leakage_nats": 0.02, '
+    '"surcharge": "1886.7925", "rule": "linear"}\n'
+    '{"decision": "granted", "total_leakage_nats": 0.04, '
+    '"total_surcharge": "3773.5850", "grand_total": "3773.5860"}\n'
+)
+DEMO_LEDGER = OLD_DEMO_LEDGER.replace(', "exchange_rate": null', "")
+
+AUDIT_DEMO = ("audit", "--policy", "{data}/policy_calibrated.yaml",
+              "--events", "{data}/events.jsonl", "--out", "{tmp}/audit.jsonl")
+
+# Stdout of every command on the bundled data/ demos, byte for byte.
+# Cases the golden tests above already pin exactly are not repeated:
+# entropy in bits, calibrate in nats, the linear price as text, the
+# weighted price as machine JSON and the linear curve.
+DEMO_STDOUT = {
+    "entropy-text": (
+        ("entropy", "--table", "{data}/timeofday_sex.csv"),
+        "H(S) = 0.693147 nats\n",
+    ),
+    "entropy-machine": (
+        ("entropy", "--table", "{data}/timeofday_sex_disability.csv",
+         "--format", "machine"),
+        '{"quantity": "profile_entropy", "value": 1.2798542258336676, '
+        '"unit": "nats"}\n',
+    ),
+    "mi-text": (("mi", "--table", "{data}/timeofday_sex.csv"), "I(X;S) = 0.086305 nats\n"),
+    "mi-text-bits": (
+        ("mi", "--table", "{data}/timeofday_sex_disability.csv", "--unit", "bits"),
+        "I(X;S) = 0.131915 bits\n",
+    ),
+    "mi-machine": (
+        ("mi", "--table", "{data}/timeofday_sex.csv", "--format", "machine"),
+        '{"quantity": "mutual_information", "value": 0.08630462173553415, '
+        '"unit": "nats"}\n',
+    ),
+    "estimate-text": (
+        ("estimate", "--schema", "{data}/keystroke_schema.yaml",
+         "--samples", "{data}/keystrokes.csv", "--seed", "7"),
+        "method = kde-monte-carlo\nn = 300\nseed = 7\n"
+        "bandwidth[impairment] = 0.054659\n"
+        "bandwidth[keystroke_interval] = 17.484878\n"
+        "I(X;S) = 0.479014 nats\n",
+    ),
+    "estimate-machine": (
+        ("estimate", "--schema", "{data}/keystroke_schema.yaml",
+         "--samples", "{data}/keystrokes.csv", "--unit", "bits", "--format", "machine"),
+        '{"quantity": "mutual_information_estimate", "value": 0.6910708617276039, '
+        '"unit": "bits", "value_nats": 0.4790138193736204, '
+        '"raw_nats": 0.4790138193736204, "method": "kde-monte-carlo", "n": 300, '
+        '"seed": 0, "bandwidths": {"impairment": 0.05465911067528549, '
+        '"keystroke_interval": 17.484878360885705}}\n',
+    ),
+    "price-linear-machine": (
+        ("price", "--policy", "{data}/policy_linear.yaml", "--leakage", "0.136",
+         "--unit", "bits", "--format", "machine"),
+        '{"rule": "linear", "leakage": 0.136, "unit": "bits", '
+        '"leakage_nats": 0.09426801655615256, "production": "0.0010", '
+        '"surcharge": "942.6802", "total": "942.6812", "currency": "USD"}\n',
+    ),
+    "price-weighted-text": (
+        ("price", "--policy", "{data}/policy_weighted.yaml",
+         "--table", "{data}/timeofday_sex_disability.csv",
+         "--schema", "{data}/profile_schema.yaml"),
+        "rule = weighted\n"
+        "leakage[sex] = 0.086305 nats\n"
+        "leakage[disability] = 0.004022 nats\n"
+        "leakage[sex+disability] = 0.091436 nats\n"
+        "leakage = 0.181763 nats\n"
+        "production = 0.0010 USD\n"
+        "surcharge = 551.5294 USD\n"
+        "total = 551.5304 USD\n",
+    ),
+    "price-exposure-text": (
+        ("price", "--policy", "{data}/policy_exposure.yaml",
+         "--table", "{data}/timeofday_sex.csv"),
+        "rule = exposure\n"
+        "leakage = 0.086305 nats\n"
+        "production = 0.0010 USD\n"
+        "surcharge = 62255.6249 USD\n"
+        "total = 62255.6259 USD\n",
+    ),
+    "price-exposure-machine": (
+        ("price", "--policy", "{data}/policy_calibrated.yaml", "--rule", "exposure",
+         "--table", "{data}/timeofday_sex.csv", "--unit", "bits", "--format", "machine"),
+        '{"rule": "exposure", "leakage": 0.12451124978365295, "unit": "bits", '
+        '"leakage_nats": 0.08630462173553415, "production": "0.0010", '
+        '"surcharge": "62255.6249", "total": "62255.6259", "currency": "USD"}\n',
+    ),
+    "calibrate-machine": (
+        ("calibrate", "--pi-max", "500000", "--entropy", "5.3", "--format", "machine"),
+        '{"lambda_per_nat": 94339.62264150944, "currency": "USD"}\n',
+    ),
+    "calibrate-text-bits": (
+        ("calibrate", "--pi-max", "100", "--entropy", "1.0", "--unit", "bits"),
+        "lambda = 144.2695 USD per nat\n",
+    ),
+    "calibrate-machine-bits": (
+        ("calibrate", "--pi-max", "100", "--entropy", "1.0", "--unit", "bits",
+         "--format", "machine"),
+        '{"lambda_per_nat": 144.26950408889635, "currency": "USD"}\n',
+    ),
+    "audit-text": (AUDIT_DEMO, AUDIT_TEXT),
+    "audit-machine": (AUDIT_DEMO + ("--format", "machine"), AUDIT_MACHINE),
+    "report-text": (("report", "--ledger", "{ledger}"), AUDIT_TEXT),
+    "report-machine": (("report", "--ledger", "{ledger}", "--format", "machine"),
+                       AUDIT_MACHINE),
+    # 301 lines of CSV, pinned by digest
+    "discretize": (
+        ("discretize", "--schema", "{data}/keystroke_schema.yaml",
+         "--samples", "{data}/keystrokes.csv",
+         "--bins", "impairment=equal-width:4", "--bins", "keystroke_interval=quantile:2"),
+        "sha256:10087a98c43db7cca94b62ee005d79adb03b796541e6f3b8f7e1c19b108177fe",
+    ),
+    "curve-exposure": (
+        ("curve", "--policy", "{data}/policy_exposure.yaml", "--rule", "exposure",
+         "--stop", "5.3", "--step", "1.325", "--entropy", "5.3"),
+        "leakage,value\n0.000000,0.0010\n1.325000,125000.0010\n2.650000,250000.0010\n"
+        "3.975000,375000.0010\n5.300000,500000.0010\n",
+    ),
+}
+
+
+class TestDemoStdout:
+    @pytest.mark.parametrize("case", sorted(DEMO_STDOUT))
+    def test_pinned(self, runner, data_dir, tmp_path, case):
+        places = {"data": data_dir, "tmp": tmp_path, "ledger": tmp_path / "ledger.jsonl"}
+        places["ledger"].write_text(DEMO_LEDGER)
+        args, expected = DEMO_STDOUT[case]
+        result = invoke(runner, *(arg.format(**places) for arg in args))
+        assert result.exit_code == 0, result.output
+        out = result.stdout
+        if expected.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected
+
+    def test_ledger_differs_from_old_only_by_exchange_rate(self, runner, data_dir, tmp_path):
+        ok(runner, *(arg.format(data=data_dir, tmp=tmp_path) for arg in AUDIT_DEMO))
+        written = (tmp_path / "audit.jsonl").read_text()
+        assert written == DEMO_LEDGER
+
+    @pytest.mark.parametrize("fmt, expected", [("text", AUDIT_TEXT),
+                                               ("machine", AUDIT_MACHINE)])
+    def test_old_ledger_still_reports(self, runner, tmp_path, fmt, expected):
+        ledger = tmp_path / "old.jsonl"
+        ledger.write_text(OLD_DEMO_LEDGER)
+        assert ok(runner, "report", "--ledger", ledger, "--format", fmt) == expected
+
+    def test_exchange_rate_key_rejected(self, runner, tmp_path):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("c_p: 0.001\nlambda: 10000\nexchange_rate: 0.5\n")
+        result = invoke(runner, "price", "--policy", policy, "--leakage", "0.036")
+        assert result.exit_code == 3
+        assert "unknown policy key 'exchange_rate'" in result.stderr
+
+
+def ledger_with_first_surcharge(text: str) -> str:
+    return OLD_DEMO_LEDGER.replace('"surcharge": "1886.7925"', f'"surcharge": "{text}"', 1)
+
+
+# args, and the content of the input file the args name as {tmp}/input
+NON_FINITE_MONEY = {
+    "pi-max-nan": (("calibrate", "--pi-max", "NaN", "--entropy", "5.3"), None),
+    "pi-max-infinity": (("calibrate", "--pi-max", "Infinity", "--entropy", "5.3"), None),
+    "calibrated-rate-overflow": (
+        ("calibrate", "--pi-max", "500000", "--entropy", "1e-320"), None,
+    ),
+    "policy-pi-max-infinity": (
+        ("price", "--policy", "{tmp}/input", "--table", "{data}/timeofday_sex.csv"),
+        'c_p: 0.001\npi_max: "Infinity"\n',
+    ),
+    "policy-c-p-nan": (
+        ("price", "--policy", "{tmp}/input", "--leakage", "0.036"),
+        'c_p: "NaN"\nlambda: 10000\n',
+    ),
+    "ledger-surcharge-infinity": (
+        ("report", "--ledger", "{tmp}/input"), ledger_with_first_surcharge("Infinity"),
+    ),
+}
+
+
+class TestNonFiniteMoney:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_MONEY))
+    def test_exits_3_without_traceback(self, runner, data_dir, tmp_path, case):
+        args, content = NON_FINITE_MONEY[case]
+        if content is not None:
+            (tmp_path / "input").write_text(content)
+        result = invoke(runner, *(arg.format(data=data_dir, tmp=tmp_path) for arg in args))
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        if case.startswith("ledger"):
+            assert f"{tmp_path / 'input'}:2: money amount must be finite" in result.stderr
+
+    def test_non_numeric_ledger_surcharge_stays_a_parse_error(self, runner, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(ledger_with_first_surcharge("lots"))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 2
+        assert f"{ledger}:2: malformed event" in result.stderr
+
+
+WORKED_EXAMPLES_STDOUT = """
+single attribute: time of day vs sex
+------------------------------------
+H(S)    = 1.000000 bits
+H(S|X)  = 0.875489 bits
+I(X;S)  = 0.124511 bits = 0.086305 nats
+r(X;S)  = 0.124511
+
+intersection: sex and disability jointly
+----------------------------------------
+I(X;sex) = 0.086305 nats
+I(X;disability) = 0.004022 nats
+I(X;sex+disability) = 0.091436 nats
+the joint profile leaks more than either attribute alone
+
+linear rule: screen-resolution example
+--------------------------------------
+leakage   = 0.036000 nats
+surcharge = 360.0000 USD
+total     = 360.0010 USD
+
+weighted rule: priced per attribute subset
+------------------------------------------
+surcharge = 551.5294 USD
+
+exposure rule: fraction of the statutory ceiling
+------------------------------------------------
+ratio     = 0.124511
+surcharge = 62255.6249 USD
+
+calibration: hit the ceiling exactly at full disclosure
+-------------------------------------------------------
+lambda    = 94339.6226 USD per nat
+0.02 nats = 1886.7925 USD surcharge
+
+audit session: two observations, then consent
+---------------------------------------------
+""" + AUDIT_TEXT.replace("session c48ed29ce635f378", "session worked-example")
+
+
+class TestScripts:
+    SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+    def run_script(self, name, *args):
+        src = str(self.SCRIPTS.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPTS / name), *map(str, args)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_worked_examples_stdout(self):
+        result = self.run_script("worked_examples.py")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == WORKED_EXAMPLES_STDOUT
+
+    def test_make_price_curves(self, tmp_path):
+        result = self.run_script("make_price_curves.py", "--outdir", tmp_path)
+        assert result.returncode == 0, result.stderr
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["exposure.csv", "linear_25000.csv", "linear_50000.csv",
+                         "linear_94339.csv"]
+        assert (tmp_path / "exposure.csv").read_text().splitlines()[-1] == (
+            "5.300000,500000.0010"
+        )

@@ -209,11 +209,9 @@ class TestKdeDensities:
         with pytest.raises(ValidationError, match="two samples"):
             kde_log_densities(samples, {"trait": Bandwidth(1.0), "signal": Bandwidth(1.0)})
 
-    def test_pure_categorical_needs_opt_in(self, intersect_schema):
+    def test_pure_categorical_accepted(self, intersect_schema):
         samples = SampleSet(intersect_schema, (("male", "abled", "morning"),) * 2)
-        with pytest.raises(ValidationError, match="plug-in counting"):
-            kde_log_densities(samples, {})
-        dens = kde_log_densities(samples, {}, allow_pure_categorical=True)
+        dens = kde_log_densities(samples, {})
         np.testing.assert_allclose(dens.joint, 0.0, atol=1e-15)
 
     def test_joint_underflow_is_error_with_index(self):
@@ -284,7 +282,7 @@ class TestMonteCarloMI:
         ]
         samples = categorical_pair_samples(rows)
         plug = estimate_mi(samples, method=PLUGIN)
-        kde = mc_mutual_information(samples, {}, allow_pure_categorical=True)
+        kde = mc_mutual_information(samples, {})
         assert abs(plug.value.value - kde.value.value) <= 1e-9
 
     def test_plugin_equals_exact_mi_of_counts(self):

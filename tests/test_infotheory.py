@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from leakpricer import (
     JointTable,
     ValidationError,
     conditional_entropy,
-    convert_units,
     entropy,
     exposure_ratio,
     intersection_leakage_report,
@@ -25,8 +25,17 @@ from leakpricer import (
     subset_key,
     write_joint_table,
 )
+from leakpricer.infotheory import _measures
 
 import oracles
+
+
+def value_or_error(compute):
+    """The computed value, or the class of the ValidationError it raised."""
+    try:
+        return compute()
+    except ValidationError as exc:
+        return type(exc)
 
 
 class TestInfoQuantity:
@@ -49,7 +58,7 @@ class TestInfoQuantity:
 
     def test_same_unit_conversion_is_identity(self):
         q = InfoQuantity(0.7, BITS)
-        assert convert_units(q, BITS) is q
+        assert q.to(BITS) is q
 
     @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_round_trip_close(self, value):
@@ -103,12 +112,47 @@ class TestEntropy:
 
     def test_unit_coherence_exact(self, single_table):
         in_bits = entropy(single_table.x_marginal(), BITS)
-        converted = convert_units(entropy(single_table.x_marginal(), NATS), BITS)
+        converted = entropy(single_table.x_marginal(), NATS).to(BITS)
         assert in_bits.value == converted.value
 
     def test_rejects_negative_entry(self):
         with pytest.raises(ValidationError, match="nonnegative"):
             entropy([0.9, 0.2, -0.1])
+
+    def test_renormalization_warns(self):
+        with pytest.warns(RuntimeWarning, match="distribution renormalized"):
+            value = entropy([0.5, 0.5 + 2e-7]).value
+        assert value == pytest.approx(math.log(2), abs=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([float("nan"), float("inf"), -0.25, -1e-9]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([0.0, 5e-10, -5e-10, 5e-7, -5e-7, 2e-6, -2e-6, 0.5]),
+    )
+    def test_shares_the_joint_table_checks(self, weights, offset):
+        # scale to sum 1 + offset where possible: inside, near and beyond
+        # the tolerance; degenerate vectors go through unscaled
+        v = np.array(weights)
+        total = v.sum()
+        if np.isfinite(total) and total > 0:
+            v = v / total * (1.0 + offset)
+        labels = [f"s{i}" for i in range(len(v))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            h = value_or_error(lambda: entropy(v).value)
+            h_table = value_or_error(
+                lambda: _measures(JointTable(("x",), labels, v[None, :]))[1]
+            )
+        if isinstance(h, float) and isinstance(h_table, float):
+            assert abs(h - h_table) <= 1e-12
+        else:
+            assert h == h_table, "one accepted what the other rejected"
 
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=12)
@@ -149,7 +193,7 @@ class TestMutualInformation:
 
     def test_unit_coherence_exact(self, single_table):
         in_bits = mutual_information(single_table, BITS).value
-        converted = convert_units(mutual_information(single_table, NATS), BITS).value
+        converted = mutual_information(single_table, NATS).to(BITS).value
         assert in_bits == converted
 
     def test_symmetry(self, single_table):

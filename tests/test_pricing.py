@@ -52,7 +52,9 @@ class TestDecimalHelpers:
         assert to_decimal(7) == Decimal("7")
 
     def test_rejected_inputs(self):
-        for bad in (True, None, [1], float("nan"), float("inf"), "1.2.3"):
+        non_finite = ("NaN", "sNaN", "-Infinity", Decimal("NaN"), Decimal("sNaN"),
+                      Decimal("Infinity"), Decimal("-Infinity"))
+        for bad in (True, None, [1], float("nan"), float("inf"), "1.2.3", *non_finite):
             with pytest.raises(ValidationError):
                 to_decimal(bad)
 
@@ -103,11 +105,9 @@ class TestPricingPolicy:
         with pytest.raises(ValidationError, match="must not be empty"):
             PricingPolicy(production_cost=Decimal("0"), subset_rates_per_nat={})
 
-    def test_ceiling_and_exchange_rate_positive(self):
+    def test_ceiling_positive(self):
         with pytest.raises(ValidationError, match="penalty"):
             PricingPolicy(production_cost=Decimal("0"), max_penalty=Decimal("0"))
-        with pytest.raises(ValidationError, match="exchange rate"):
-            linear_policy(exchange_rate=0.0)
 
 
 class TestPriceQuote:
@@ -332,6 +332,8 @@ class TestCalibration:
             calibrate_lambda(Decimal("0"), nats(1.0))
         with pytest.raises(ValidationError, match="entropy"):
             calibrate_lambda(Decimal("1"), nats(0.0))
+        with pytest.raises(ValidationError, match="overflows"):
+            calibrate_lambda(Decimal("500000"), nats(1e-320))
 
 
 class TestRateConversion:
