@@ -5,6 +5,10 @@ Draws bivariate normal pairs (correlation 0.8, true leakage
 -0.5*ln(1-0.64) = 0.5108 nats) at growing sample sizes and reports the
 error averaged over seeded replicates. The resubstitution bias shows up
 as a small positive mean error that shrinks with n.
+
+The kernel estimator evaluates its n x n kernels one fixed-size block of
+rows at a time, so memory no longer limits n; time still grows as n^2
+(``--sizes 10000 --seeds 1`` takes a few seconds).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[200, 500, 1000, 2000]
+        "--sizes", type=int, nargs="+", default=[200, 500, 1000, 2000, 4000]
     )
     args = parser.parse_args()
 

@@ -16,6 +16,7 @@ independent; every report carries a fixed disclaimer saying so.
 from __future__ import annotations
 
 import json
+import math
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -53,9 +54,9 @@ class AuditEvent:
     def __post_init__(self) -> None:
         if self.sequence < 1:
             raise ValidationError("event sequence numbers start at 1")
-        if not self.leakage_nats >= 0:
+        if not (math.isfinite(self.leakage_nats) and self.leakage_nats >= 0):
             raise ValidationError(
-                f"event leakage must be nonnegative, got {self.leakage_nats!r}"
+                f"event leakage must be finite and nonnegative, got {self.leakage_nats!r}"
             )
         if self.surcharge < 0:
             raise ValidationError("event surcharge must be nonnegative")

@@ -13,9 +13,11 @@ The resubstitution average evaluates densities at the training points
 themselves. That makes the estimate mildly optimistic for small n; the
 bias is documented rather than corrected, and it shrinks as n grows.
 
-Kernel evaluation builds n x n matrices, so cost is quadratic in the
-sample count. All reductions are vectorized with a fixed summation
-order: results are independent of parallelism and chunking.
+Kernel evaluation walks the rows in blocks of a fixed number of matrix
+entries, each block against all n samples: time stays quadratic in the
+sample count, while memory is bounded by one block whatever n is. Each
+row's mean is one contiguous reduction over that row, so results are
+the same for every block size.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ KDE_MC = "kde-monte-carlo"
 LOG_FLOOR = -745.0
 
 _SQRT_TAU = math.sqrt(2.0 * math.pi)
+
+#: Kernel entries evaluated per block of rows (2 MiB of float64).
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -150,31 +155,55 @@ def kde_log_densities(
             f"missing bandwidth for continuous attribute {missing[0]!r}"
         )
 
-    s_product = _group_kernel_product(samples, samples.schema.attributes, bandwidths)
-    x_product = _group_kernel_product(samples, (schema.observable,), bandwidths)
-    joint_product = s_product * x_product
+    s_inputs = _kernel_inputs(samples, schema.attributes, bandwidths)
+    x_inputs = _kernel_inputs(samples, (schema.observable,), bandwidths)
+    n = samples.n
+    joint_mean, x_mean, s_mean = np.empty(n), np.empty(n), np.empty(n)
+    rows = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        s_block = _kernel_block(s_inputs, lo, hi)
+        x_block = _kernel_block(x_inputs, lo, hi)
+        s_mean[lo:hi] = s_block.mean(axis=1)
+        x_mean[lo:hi] = x_block.mean(axis=1)
+        s_block *= x_block
+        joint_mean[lo:hi] = s_block.mean(axis=1)
 
-    joint_log = _log_density(joint_product.mean(axis=1), "joint")
-    x_log = _log_density(x_product.mean(axis=1), "x marginal")
-    s_log = _log_density(s_product.mean(axis=1), "s marginal")
+    joint_log = _log_density(joint_mean, "joint")
+    x_log = _log_density(x_mean, "x marginal")
+    s_log = _log_density(s_mean, "s marginal")
     return LogDensities(joint=joint_log, x=x_log, s=s_log)
 
 
-def _group_kernel_product(samples, specs, bandwidths) -> np.ndarray:
-    """Entry (i, j) holds the product over the group's dimensions of the
-    kernel between sample i and sample j."""
-    product: np.ndarray | None = None
+def _kernel_inputs(samples, specs, bandwidths) -> list:
+    """Per dimension of a group: ``(values, width)`` for a continuous
+    column, ``(level codes, None)`` for a categorical one."""
+    inputs = []
     for spec in specs:
         column = samples.column(spec.name)
         if spec.is_continuous:
-            v = np.asarray(column, dtype=float)
-            h = bandwidths[spec.name].width
-            z = (v[:, None] - v[None, :]) / h
-            factor = np.exp(-0.5 * z * z) / (h * _SQRT_TAU)
+            inputs.append((np.asarray(column, dtype=float), bandwidths[spec.name].width))
         else:
-            codes = np.asarray([spec.levels.index(c) for c in column])
-            factor = (codes[:, None] == codes[None, :]).astype(float)
-        product = factor if product is None else product * factor
+            code_of = {level: i for i, level in enumerate(spec.levels)}
+            codes = np.fromiter((code_of[c] for c in column), np.intp, len(column))
+            inputs.append((codes, None))
+    return inputs
+
+
+def _kernel_block(inputs, lo, hi) -> np.ndarray:
+    """Entry (i, j) holds the product, over the group's dimensions in
+    schema order, of the kernel between sample lo + i and sample j."""
+    product: np.ndarray | None = None
+    for values, h in inputs:
+        if h is None:
+            factor = values[lo:hi, None] == values[None, :]
+        else:
+            z = (values[lo:hi, None] - values[None, :]) / h
+            factor = np.exp(-0.5 * z * z) / (h * _SQRT_TAU)
+        if product is None:
+            product = factor.astype(float, copy=False)
+        else:
+            product *= factor
     assert product is not None
     return product
 

@@ -57,7 +57,14 @@ def to_decimal(amount) -> Decimal:
 
 def quantize_money(amount) -> Decimal:
     """Round onto the four-decimal money grid, ties to even."""
-    return to_decimal(amount).quantize(MONEY_QUANTUM, rounding=ROUND_HALF_EVEN)
+    value = to_decimal(amount)
+    try:
+        return value.quantize(MONEY_QUANTUM, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:
+        # the quantized amount needs more digits than the decimal context holds
+        raise ValidationError(
+            f"money amount {value} is too large for the four-decimal grid"
+        ) from None
 
 
 @dataclass(frozen=True)

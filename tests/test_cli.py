@@ -683,6 +683,30 @@ class TestNonFiniteMoney:
         if case.startswith("ledger"):
             assert f"{tmp_path / 'input'}:2: money amount must be finite" in result.stderr
 
+    @pytest.mark.parametrize(
+        "policy, amount",
+        [("c_p: 1e30\nlambda: 10000\n", "1E+30"), ("c_p: 0.001\nlambda: 1e300\n", "1E+299")],
+        ids=["c_p", "lambda"],
+    )
+    def test_amount_too_large_for_the_money_grid(self, runner, tmp_path, policy, amount):
+        path = tmp_path / "policy.yaml"
+        path.write_text(policy)
+        result = invoke(runner, "price", "--policy", path, "--leakage", "0.1")
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: money amount {amount} is too large" in result.stderr
+
+    @pytest.mark.parametrize("leakage", ["Infinity", "NaN"])
+    def test_non_finite_ledger_leakage_names_the_line(self, runner, tmp_path, leakage):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(
+            OLD_DEMO_LEDGER.replace('"leakage_nats": 0.02', f'"leakage_nats": {leakage}', 1)
+        )
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{ledger}:2: event leakage must be finite and nonnegative" in result.stderr
+
     def test_non_numeric_ledger_surcharge_stays_a_parse_error(self, runner, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(ledger_with_first_surcharge("lots"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from leakpricer import (
     mutual_information,
     silverman_bandwidth,
 )
+from leakpricer import estimation
 
 import oracles
 
@@ -35,6 +37,53 @@ def gaussian_pairs(seed: int, n: int, rho: float) -> SampleSet:
     cov = [[1.0, rho], [rho, 1.0]]
     pairs = rng.multivariate_normal([0.0, 0.0], cov, size=n)
     return SampleSet(GAUSS_SCHEMA, tuple((float(s), float(x)) for s, x in pairs))
+
+
+MIXED_SCHEMA = ProfileSchema(
+    attributes=(
+        AttributeSpec.categorical("sex", ["male", "female"]),
+        AttributeSpec.continuous("impairment", 0.0, 1.0),
+        AttributeSpec.categorical("band", ["low", "mid", "high"]),
+    ),
+    observable=AttributeSpec.continuous("interval", 20.0, 600.0),
+)
+
+
+def mixed_samples(seed: int, n: int) -> SampleSet:
+    rng = np.random.default_rng(seed)
+    sex = rng.integers(0, 2, n)
+    band = rng.integers(0, 3, n)
+    impairment = rng.beta(2.0, 5.0, n)
+    interval = 120.0 + 250.0 * impairment + 25.0 * sex + rng.normal(0.0, 35.0, n)
+    interval = np.clip(interval, 20.0, 600.0)
+    return SampleSet(MIXED_SCHEMA, tuple(
+        (("male", "female")[s], float(i), ("low", "mid", "high")[b], float(v))
+        for s, i, b, v in zip(sex, impairment, band, interval)
+    ))
+
+
+def dense_log_densities(samples: SampleSet, bandwidths) -> tuple:
+    """(joint, x, s) log densities from whole n x n kernel products,
+    multiplied in schema order: the reference for the blocked kernels."""
+
+    def product(specs):
+        out = None
+        for spec in specs:
+            column = samples.column(spec.name)
+            if spec.is_continuous:
+                v = np.asarray(column, dtype=float)
+                h = bandwidths[spec.name].width
+                z = (v[:, None] - v[None, :]) / h
+                factor = np.exp(-0.5 * z * z) / (h * math.sqrt(2.0 * math.pi))
+            else:
+                codes = np.asarray([spec.levels.index(c) for c in column])
+                factor = (codes[:, None] == codes[None, :]).astype(float)
+            out = factor if out is None else out * factor
+        return out
+
+    s = product(samples.schema.attributes)
+    x = product((samples.schema.observable,))
+    return np.log((s * x).mean(axis=1)), np.log(x.mean(axis=1)), np.log(s.mean(axis=1))
 
 
 def categorical_pair_samples(rows) -> SampleSet:
@@ -221,6 +270,35 @@ class TestKdeDensities:
         huge = Bandwidth(1e200)
         with pytest.raises(EstimationError, match="sample index 0"):
             kde_log_densities(samples, {"trait": huge, "signal": huge})
+
+    # 50 rows: one row per block, 7 blocks of 7 plus one row, one block
+    @pytest.mark.parametrize("budget", [10, 7 * 50, 50 * 50 + 1])
+    def test_blocked_equals_dense_bit_for_bit(self, monkeypatch, budget):
+        samples = mixed_samples(4, 50)
+        h = {
+            name: silverman_bandwidth(samples.column(name))
+            for name in ("impairment", "interval")
+        }
+        whole = estimate_mi(samples, h)
+        monkeypatch.setattr(estimation, "BLOCK_ENTRIES", budget)
+        dens = kde_log_densities(samples, h)
+        joint, x, s = dense_log_densities(samples, h)
+        assert np.array_equal(dens.joint, joint)
+        assert np.array_equal(dens.x, x)
+        assert np.array_equal(dens.s, s)
+        assert estimate_mi(samples, h).raw_nats == whole.raw_nats
+
+    def test_peak_memory_bounded(self):
+        # three whole 2000 x 2000 float64 products would take 96 MB
+        samples = mixed_samples(9, 2000)
+        h = {"impairment": Bandwidth(0.03), "interval": Bandwidth(11.0)}
+        tracemalloc.start()
+        try:
+            kde_log_densities(samples, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_marginal_floor_warns(self):
         from leakpricer.estimation import LOG_FLOOR, _log_density

@@ -67,6 +67,13 @@ class TestDecimalHelpers:
     def test_quantize_preserves_four_places(self):
         assert str(quantize_money(Decimal("3"))) == "3.0000"
 
+    def test_amount_too_large_for_the_grid_rejected(self):
+        # 24 integer digits plus 4 decimals fill the 28-digit context
+        assert str(quantize_money(Decimal("9" * 24))) == "9" * 24 + ".0000"
+        for big in (Decimal("1e24"), 1e30, "1e300"):
+            with pytest.raises(ValidationError, match="too large for the four-decimal grid"):
+                quantize_money(big)
+
 
 class TestPricingPolicy:
     def test_scalar_and_map_are_exclusive(self):
