@@ -26,6 +26,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
 from .pricing import LINEAR, PricingPolicy, _linear_surcharge, quantize_money, to_decimal
+from .schema import read_json_lines
 
 CONSENT_PENDING = "pending"
 CONSENT_GRANTED = "granted"
@@ -267,20 +268,11 @@ def write_ledger(ledger: SessionLedger, path) -> None:
 def read_ledger(path) -> SessionLedger:
     """Rebuild a ledger from its file; round-trips :func:`write_ledger`."""
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"{p}: no such file")
-    records = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}:{lineno}: invalid ledger line: {exc}") from None
-    if not records:
+    records = read_json_lines(p, "ledger")
+    header_lineno, header = next(records, (None, None))
+    if header is None:
         raise ParseError(f"{p}: empty ledger file")
-    header_lineno, header = records[0]
-    if not isinstance(header, dict) or "session" not in header or "policy" not in header:
+    if "session" not in header or "policy" not in header:
         raise ParseError(f"{p}: first ledger line must be the session header")
     raw_policy = header["policy"]
     try:
@@ -294,7 +286,7 @@ def read_ledger(path) -> SessionLedger:
             ),
             currency=raw_policy.get("currency", "USD"),
         )
-    except (KeyError, TypeError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"{p}: malformed policy header: {exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{p}:{header_lineno}: {exc}") from None
@@ -303,7 +295,7 @@ def read_ledger(path) -> SessionLedger:
         raise ParseError(f"{p}: unknown consent state {consent!r}")
     events: list[AuditEvent] = []
     closure = None
-    for lineno, record in records[1:]:
+    for lineno, record in records:
         if "decision" in record:
             if closure is not None:
                 raise ParseError(f"{p}:{lineno}: duplicate closure line")

@@ -51,15 +51,12 @@ def _handle_errors(command):
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except ParseError as exc:
+        except (ParseError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
         except ValidationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
 
     return wrapper
 
@@ -256,15 +253,18 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
         subset_report = infotheory.intersection_leakage_report(table, schema)
         quote = pricing.price_weighted(policy, subset_report)
     shown = quote.leakage.to(unit)
+    money = {
+        "production": _fmt_money(quote.production_component),
+        "surcharge": _fmt_money(quote.surcharge_component),
+        "total": _fmt_money(quote.total),
+    }
     if fmt == "machine":
         doc = {
             "rule": quote.rule,
             "leakage": shown.value,
             "unit": unit,
             "leakage_nats": quote.leakage.value,
-            "production": _fmt_money(quote.production_component),
-            "surcharge": _fmt_money(quote.surcharge_component),
-            "total": _fmt_money(quote.total),
+            **money,
             "currency": quote.currency,
         }
         if subset_report is not None:
@@ -274,15 +274,15 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
             }
         _emit(doc)
         return
-    click.echo(f"rule = {quote.rule}")
+    # one echo of lines formatted in full, so a money error leaves stdout empty
+    lines = [f"rule = {quote.rule}"]
     if subset_report is not None:
         for key in policy.subset_rates_per_nat:
             value = subset_report[key].to(unit)
-            click.echo(f"leakage[{key}] = {_fmt_info(value.value)} {unit}")
-    click.echo(f"leakage = {_fmt_info(shown.value)} {unit}")
-    click.echo(f"production = {_fmt_money(quote.production_component)} {quote.currency}")
-    click.echo(f"surcharge = {_fmt_money(quote.surcharge_component)} {quote.currency}")
-    click.echo(f"total = {_fmt_money(quote.total)} {quote.currency}")
+            lines.append(f"leakage[{key}] = {_fmt_info(value.value)} {unit}")
+    lines.append(f"leakage = {_fmt_info(shown.value)} {unit}")
+    lines += [f"{name} = {amount} {quote.currency}" for name, amount in money.items()]
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -332,8 +332,8 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
         click.echo(text, nl=False)
 
 
-def _read_event_stream(path):
-    """Parse observation events plus an optional decision line.
+def _read_event_stream(path, ledger) -> str | None:
+    """Record each event into the ledger as it is parsed; return the decision or None.
 
     Line format: ``{"observable": ..., "leakage": ..., "unit": ...,
     "timestamp": ...}`` with unit and timestamp optional, or
@@ -341,25 +341,10 @@ def _read_event_stream(path):
     further event may appear.
     """
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"{p}: no such file")
-    events = []
     decision = None
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}:{lineno}: invalid event line: {exc}") from None
-        if not isinstance(record, dict):
-            raise ParseError(f"{p}:{lineno}: event line must be a JSON object")
+    for lineno, record in schema_lib.read_json_lines(p, "event"):
         if "decision" in record:
-            unknown = set(record) - {"decision"}
-            if unknown:
-                raise ValidationError(
-                    f"{p}:{lineno}: unknown key {sorted(unknown)[0]!r} on a decision line"
-                )
+            schema_lib.check_keys(record, {"decision"}, f"{p}:{lineno}", "decision-line")
             if decision is not None:
                 raise ValidationError(f"{p}:{lineno}: duplicate decision line")
             if record["decision"] not in (audit_lib.CONSENT_GRANTED, audit_lib.CONSENT_DENIED):
@@ -371,39 +356,36 @@ def _read_event_stream(path):
             continue
         if decision is not None:
             raise ValidationError(f"{p}:{lineno}: event after the decision line")
-        unknown = set(record) - {"observable", "leakage", "unit", "timestamp"}
-        if unknown:
-            raise ValidationError(
-                f"{p}:{lineno}: unknown event key {sorted(unknown)[0]!r}"
-            )
+        schema_lib.check_keys(record, {"observable", "leakage", "unit", "timestamp"},
+                              f"{p}:{lineno}", "event")
         if "observable" not in record or "leakage" not in record:
             raise ValidationError(
                 f"{p}:{lineno}: event needs 'observable' and 'leakage'"
             )
         try:
             amount = float(record["leakage"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{p}:{lineno}: non-numeric leakage {record['leakage']!r}"
             ) from None
         try:
-            quantity = InfoQuantity(amount, record.get("unit", NATS))
+            audit_lib.record_event(
+                ledger,
+                str(record["observable"]),
+                InfoQuantity(amount, record.get("unit", NATS)),
+                timestamp=str(record.get("timestamp", EPOCH)),
+            )
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
-        events.append(
-            {
-                "observable": str(record["observable"]),
-                "leakage": quantity,
-                "timestamp": str(record.get("timestamp", EPOCH)),
-            }
-        )
-    return events, decision
+    return decision
 
 
 def _content_session_id(*paths) -> str:
     digest = hashlib.sha256()
     for path in paths:
-        digest.update(Path(path).read_bytes())
+        # the reader yields lines with their endings, so this hashes the file's bytes
+        for line in schema_lib.read_lines(path):
+            digest.update(line.encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()[:16]
 
@@ -421,7 +403,10 @@ def _content_session_id(*paths) -> str:
 def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     """Replay an event stream into a priced, closed ledger."""
     policy = pricing.load_policy(policy_path)
-    events, stream_decision = _read_event_stream(events_path)
+    ledger = audit_lib.open_session(
+        policy, session_id or _content_session_id(policy_path, events_path)
+    )
+    stream_decision = _read_event_stream(events_path, ledger)
     if stream_decision is not None and decision is not None:
         raise ValidationError(
             "decision given twice: in the stream and as --decision"
@@ -431,18 +416,11 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
         raise ValidationError(
             "the stream carries no decision line; pass --decision"
         )
-    ledger = audit_lib.open_session(
-        policy, session_id or _content_session_id(policy_path, events_path)
-    )
-    for event in events:
-        audit_lib.record_event(
-            ledger, event["observable"], event["leakage"], timestamp=event["timestamp"]
-        )
     report = audit_lib.close_session(ledger, final)
     # recompute through the pricing layer; rounding drift is bounded by
     # half a minor unit per recorded event
     single_shot = pricing.price_linear(policy, report.total_leakage)
-    drift_bound = MONEY_QUANTUM * Decimal(len(events) + 1) / 2
+    drift_bound = MONEY_QUANTUM * Decimal(len(ledger.events) + 1) / 2
     if abs(report.grand_total - single_shot.total) > drift_bound:
         raise ValidationError(
             f"ledger total {report.grand_total} drifted from single-shot "

@@ -14,7 +14,6 @@ are clamped to zero with a diagnostic warning.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels
+from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels, read_csv_rows
 
 NATS = "nats"
 BITS = "bits"
@@ -354,23 +353,14 @@ def read_joint_table(path) -> JointTable:
     (first cell ignored), each data row holds an observable label then
     probabilities."""
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"{p}: no such file")
-    with open(p, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not raw:
-        raise ParseError(f"{p}: empty joint-table file")
-    header = raw[0]
+    raw = read_csv_rows(p, "joint-table")
+    header = next(raw)[1]
     if len(header) < 2:
         raise ParseError(f"{p}: header needs at least one probability column")
     s_levels = tuple(h.strip() for h in header[1:])
     x_levels: list[str] = []
     matrix: list[list[float]] = []
-    for lineno, row in enumerate(raw[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{p}:{lineno}: expected {len(header)} cells, got {len(row)}"
-            )
+    for lineno, row in raw:
         x_levels.append(row[0].strip())
         try:
             matrix.append([float(cell) for cell in row[1:]])

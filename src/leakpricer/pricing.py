@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
-import yaml
-
 from .errors import ValidationError
 from .infotheory import (
     BITS,
@@ -344,13 +342,9 @@ def load_policy(path) -> PricingPolicy:
     ``pi_max``, ``currency``. Per-bit rates are
     converted to per-nat on load; everything downstream is per nat.
     """
-    doc = load_yaml_doc(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: policy document must be a mapping")
-    known = {"c_p", "lambda", "lambda_unit", "pi_max", "currency"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"{path}: unknown policy key {sorted(unknown)[0]!r}")
+    doc = load_yaml_doc(
+        path, "policy", {"c_p", "lambda", "lambda_unit", "pi_max", "currency"}
+    )
     if "c_p" not in doc:
         raise ValidationError(f"{path}: policy must declare the production cost c_p")
     unit = doc.get("lambda_unit", PER_NAT)
@@ -362,7 +356,7 @@ def load_policy(path) -> PricingPolicy:
     def _number(value, key):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{path}: {key} must be numeric, got {value!r}"
             ) from None
@@ -379,11 +373,10 @@ def load_policy(path) -> PricingPolicy:
         }
     elif raw_rate is not None:
         rate = _number(raw_rate, "lambda") * scale
-    ceiling = doc.get("pi_max")
     return PricingPolicy(
-        production_cost=to_decimal(doc["c_p"]),
+        production_cost=doc["c_p"],
         rate_per_nat=rate,
         subset_rates_per_nat=subset_rates,
-        max_penalty=to_decimal(ceiling) if ceiling is not None else None,
+        max_penalty=doc.get("pi_max"),
         currency=str(doc.get("currency", "USD")),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -339,12 +340,7 @@ def load_schema(path) -> ProfileSchema:
           kind: continuous
           range: [50.0, 400.0]
     """
-    doc = load_yaml_doc(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: schema document must be a mapping")
-    unknown = set(doc) - {"attributes", "observable"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown schema key {sorted(unknown)[0]!r}")
+    doc = load_yaml_doc(path, "schema", {"attributes", "observable"})
     raw_attrs = doc.get("attributes")
     if not isinstance(raw_attrs, list) or not raw_attrs:
         raise ValidationError(f"{path}: 'attributes' must be a non-empty list")
@@ -358,9 +354,7 @@ def load_schema(path) -> ProfileSchema:
 def _parse_attribute(entry, path) -> AttributeSpec:
     if not isinstance(entry, dict):
         raise ValidationError(f"{path}: attribute entry must be a mapping, got {entry!r}")
-    unknown = set(entry) - {"name", "kind", "levels", "range"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown attribute key {sorted(unknown)[0]!r}")
+    check_keys(entry, {"name", "kind", "levels", "range"}, path, "attribute")
     name = entry.get("name")
     kind = entry.get("kind")
     if not name or not kind:
@@ -371,7 +365,7 @@ def _parse_attribute(entry, path) -> AttributeSpec:
             raise ValidationError(
                 f"{path}: categorical attribute {name!r} needs a non-empty 'levels' list"
             )
-        return AttributeSpec.categorical(name, [str(v) for v in levels])
+        return AttributeSpec.categorical(str(name), [str(v) for v in levels])
     if kind == CONTINUOUS:
         bounds = entry.get("range")
         if not isinstance(bounds, list) or len(bounds) != 2:
@@ -380,30 +374,89 @@ def _parse_attribute(entry, path) -> AttributeSpec:
             )
         try:
             lower, upper = float(bounds[0]), float(bounds[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{path}: non-numeric range for attribute {name!r}: {bounds!r}"
             ) from None
-        return AttributeSpec.continuous(name, lower, upper)
+        return AttributeSpec.continuous(str(name), lower, upper)
     raise ValidationError(f"{path}: attribute {name!r} has unknown kind {kind!r}")
 
 
-def load_yaml_doc(path):
-    """Read a YAML document (JSON included), mapping failures to ParseError."""
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file as they are read, endings kept; a missing
+    file, bytes that are not UTF-8 or another OSError are a ParseError naming it."""
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"{p}: no such file")
     try:
-        text = p.read_text(encoding="utf-8")
+        # newline="" keeps line endings untranslated, as csv.reader needs
+        with open(p, encoding="utf-8", newline="") as fh:
+            yield from fh
+    except FileNotFoundError:
+        raise ParseError(f"{p}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
         raise ParseError(f"{p}: {exc}") from None
+
+
+def read_csv_rows(path, what: str):
+    """Yield ``(line number, cells)`` for each non-blank row of a delimited
+    file, header first. Line numbers are physical (blank lines count); every
+    row must have the header's cell count; no rows is an ``empty <what> file``."""
+    reader = csv.reader(read_lines(path))
+    width = None
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{p}: invalid document: {exc}") from None
+        for cells in reader:
+            if not any(cell.strip() for cell in cells):
+                continue
+            width = width or len(cells)  # the header's width
+            if len(cells) != width:
+                raise ParseError(
+                    f"{path}:{reader.line_num}: expected {width} cells, got {len(cells)}"
+                )
+            yield reader.line_num, cells
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if width is None:
+        raise ParseError(f"{path}: empty {what} file")
+
+
+def read_json_lines(path, what: str):
+    """Yield ``(line number, object)`` for each non-blank line of a
+    line-delimited JSON file; every line must hold one JSON object."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}:{lineno}: invalid {what} line: {exc}") from None
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}:{lineno}: {what} line must be a JSON object")
+        yield lineno, record
+
+
+def load_yaml_doc(path, what: str, known) -> dict:
+    """Read a YAML document (JSON included) that must be a mapping with keys
+    in ``known``; unreadable YAML is a ParseError, a wrong shape or key a
+    ValidationError."""
+    try:
+        doc = yaml.safe_load("".join(read_lines(path)))
+    # PyYAML raises ValueError on an impossible date and RecursionError on deep nesting
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid document: {exc}") from None
     if doc is None:
-        raise ParseError(f"{p}: empty document")
+        raise ParseError(f"{path}: empty document")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: {what} document must be a mapping")
+    check_keys(doc, known, path, what)
     return doc
+
+
+def check_keys(mapping: dict, known, where: str, what: str) -> None:
+    """Reject the first unknown key by its text; YAML keys need not be strings."""
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValidationError(f"{where}: unknown {what} key {min(unknown, key=str)!r}")
 
 
 def load_samples(path, schema: ProfileSchema) -> SampleSet:
@@ -414,13 +467,8 @@ def load_samples(path, schema: ProfileSchema) -> SampleSet:
     be declared, and every cell must parse and validate.
     """
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"{p}: no such file")
-    with open(p, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not raw:
-        raise ParseError(f"{p}: empty sample file")
-    header = [h.strip() for h in raw[0]]
+    raw = read_csv_rows(p, "sample")
+    header = [h.strip() for h in next(raw)[1]]
     if len(set(header)) != len(header):
         raise ValidationError(f"{p}: duplicate column in header")
     declared = [spec.name for spec in schema.columns]
@@ -433,11 +481,7 @@ def load_samples(path, schema: ProfileSchema) -> SampleSet:
     position = {name: header.index(name) for name in declared}
     specs = schema.columns
     rows = []
-    for lineno, row in enumerate(raw[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{p}:{lineno}: expected {len(header)} cells, got {len(row)}"
-            )
+    for lineno, row in raw:
         values = []
         for spec in specs:
             cell = row[position[spec.name]].strip()

@@ -252,6 +252,12 @@ class TestLedgerFile:
         path.write_text('{"session": "s", "policy"\n')
         with pytest.raises(ParseError, match="invalid ledger line"):
             read_ledger(path)
+        header = json.dumps({"session": "s", "policy": {"c_p": "0", "lambda": 1.0}})
+        for line in ("5", "null", "[1]", '"s"'):
+            path.write_text(f"{header}\n{line}\n")
+            with pytest.raises(ParseError) as raised:
+                read_ledger(path)
+            assert str(raised.value) == f"{path}:2: ledger line must be a JSON object"
 
     def test_first_line_must_be_header(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -6,13 +6,27 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from leakpricer import LN2
+from leakpricer import (
+    LN2,
+    AttributeSpec,
+    ParseError,
+    ProfileSchema,
+    ValidationError,
+    load_policy,
+    load_samples,
+    load_schema,
+    read_joint_table,
+    read_ledger,
+)
 from leakpricer.cli import main
 
 import oracles
@@ -433,7 +447,127 @@ class TestReportCommand:
         assert "still open" in result.stderr
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+# Every input flag of every subcommand; {input} is the file under test.
+INPUT_FLAGS = {
+    "entropy --table": ("entropy", "--table", "{input}"),
+    "mi --table": ("mi", "--table", "{input}"),
+    "estimate --schema": ("estimate", "--schema", "{input}",
+                          "--samples", "{data}/keystrokes.csv"),
+    "estimate --samples": ("estimate", "--schema", "{data}/keystroke_schema.yaml",
+                           "--samples", "{input}"),
+    "price --policy": ("price", "--policy", "{input}", "--leakage", "0.1"),
+    "audit --policy": ("audit", "--policy", "{input}", "--events", "{data}/events.jsonl",
+                       "--out", "{tmp}/ledger.jsonl"),
+    "audit --events": ("audit", "--policy", "{data}/policy_calibrated.yaml",
+                       "--events", "{input}", "--out", "{tmp}/ledger.jsonl"),
+    "report --ledger": ("report", "--ledger", "{input}"),
+}
+CSV_FLAGS = ("entropy --table", "mi --table", "estimate --samples")
+
+FUZZ_SCHEMA = ProfileSchema(
+    attributes=(AttributeSpec.categorical("group", ["a", "b"]),),
+    observable=AttributeSpec.continuous("score", 0.0, 1.0),
+)
+FUZZ_READERS = (
+    load_schema,
+    lambda path: load_samples(path, FUZZ_SCHEMA),
+    read_joint_table,
+    load_policy,
+    read_ledger,
+)
+# keys the input formats know, so that fuzzed records reach past the key checks
+FORMAT_KEYS = (
+    "session", "policy", "consent", "c_p", "lambda", "lambda_unit", "pi_max",
+    "currency", "sequence", "timestamp", "observable", "leakage_nats", "surcharge",
+    "rule", "decision", "leakage", "unit", "attributes", "name", "kind", "levels",
+    "range",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["nats", "bits", "granted", "categorical", "continuous", "1.5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FORMAT_KEYS) | st.text(max_size=4) | st.integers(),
+                      inner, max_size=5),
+    max_leaves=12,
+)
+JSONISH_TEXT = (
+    st.lists(JSON_VALUES.map(json.dumps), max_size=4).map("\n".join)
+    | JSON_VALUES.map(yaml.safe_dump)
+    | st.text(alphabet='{}[]":,-.0123456789eE \n\tabnul', max_size=60)
+)
+# inputs that once ended in a traceback from one of the readers
+HUGE_INT = b"9" * 400
+CRASHERS = (
+    b"c_p: 1\n1: 2\nfoo: 3\n",
+    b"c_p: 1\nlambda: " + HUGE_INT + b"\n",
+    b"attributes:\n  - {name: g, kind: continuous, range: [0, " + HUGE_INT + b"]}\n"
+    b"observable: {name: o, kind: categorical, levels: [a]}\n",
+    b"attributes:\n  - {name: [g], kind: categorical, levels: [a]}\n"
+    b"  - {name: [g], kind: categorical, levels: [a]}\n"
+    b"observable: {name: o, kind: categorical, levels: [a]}\n",
+    b"c_p: 2001-13-01\n",
+    b'{"observable": "o", "leakage": 0}\n' + b"[" * 1000 + b"]" * 1000 + b"\n",
+    b'{"session": "s", "policy": {"c_p": "0", "lambda": "abc"}}\n',
+    b'{"session": "s", "policy": {"c_p": "0", "lambda": 1}}\n5\n',
+    b'{"observable": "o", "leakage": ' + HUGE_INT + b"}\n",
+    b'{"observable": "o", "leakage": ' + b"9" * 5000 + b"}\n",
+)
+FILE_CONTENTS = st.binary(max_size=80) | JSONISH_TEXT.map(str.encode)
+
+
+def assert_only_package_errors(content: bytes) -> None:
+    """Written as each input file, ``content`` makes every reader return or
+    raise a package error, and ``audit --events`` exit 0, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(content)
+        for reader in FUZZ_READERS:
+            try:
+                reader(path)
+            except (ParseError, ValidationError):
+                pass
+        result = CliRunner().invoke(main, [
+            "audit", "--policy", str(DATA / "policy_calibrated.yaml"),
+            "--events", str(path), "--out", str(Path(tmp) / "ledger.jsonl"),
+            "--decision", "granted",
+        ])
+        assert result.exit_code in (0, 2, 3), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("flag", sorted(INPUT_FLAGS))
+    def test_unreadable_input_exits_2_naming_the_file(self, runner, tmp_path, flag):
+        path = tmp_path / "input"
+        contents = {"non-utf8": b"x,u\n\xff\xfe,0.5\n", "missing": None}
+        if flag in CSV_FLAGS:
+            contents["oversized cell"] = b"x," + b"a" * 200_000 + b"\n"
+        args = [arg.format(input=path, data=DATA, tmp=tmp_path) for arg in INPUT_FLAGS[flag]]
+        for case, content in contents.items():
+            if content is None:
+                path.unlink()
+            else:
+                path.write_bytes(content)
+            result = invoke(runner, *args)
+            assert result.exit_code == 2, (case, result.output)
+            assert isinstance(result.exception, SystemExit), case
+            assert "Traceback" not in result.stderr, case
+            if content is None:
+                assert result.stderr == f"error: {path}: no such file\n"
+            else:
+                assert result.stderr.startswith(f"error: {path}:"), (case, result.stderr)
+
+    @settings(max_examples=120, deadline=None)
+    @given(content=FILE_CONTENTS)
+    def test_malformed_input_raises_only_package_errors(self, content):
+        assert_only_package_errors(content)
+
+    @pytest.mark.parametrize("content", CRASHERS, ids=range(len(CRASHERS)))
+    def test_former_crashers_raise_only_package_errors(self, content):
+        assert_only_package_errors(content)
+
     def test_missing_file_is_parse_error(self, runner, tmp_path):
         result = invoke(runner, "entropy", "--table", tmp_path / "absent.csv")
         assert result.exit_code == 2
@@ -695,6 +829,7 @@ class TestNonFiniteMoney:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"error: money amount {amount} is too large" in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("leakage", ["Infinity", "NaN"])
     def test_non_finite_ledger_leakage_names_the_line(self, runner, tmp_path, leakage):

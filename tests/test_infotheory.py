@@ -361,10 +361,10 @@ class TestJointTableFile:
 
     def test_ragged_row_is_parse_error(self, tmp_path):
         path = tmp_path / "table.csv"
-        path.write_text("x,u,v\na,0.5\n")
+        path.write_text("x,u,v\na,0.5,0.5\n\n\n\nb,0.5\n")
         from leakpricer import ParseError
 
-        with pytest.raises(ParseError, match="expected 3 cells"):
+        with pytest.raises(ParseError, match=":6: expected 3 cells, got 2"):
             read_joint_table(path)
 
 

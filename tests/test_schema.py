@@ -144,9 +144,12 @@ class TestSchemaFile:
 
     def test_bad_yaml_is_parse_error(self, tmp_path):
         doc = tmp_path / "schema.yaml"
-        doc.write_text("attributes: [unclosed\n")
-        with pytest.raises(ParseError, match="invalid document"):
-            load_schema(doc)
+        # PyYAML fails on the last two with ValueError and RecursionError
+        for text in ("attributes: [unclosed\n", "attributes: 2001-13-01\n",
+                     "[" * 800 + "]" * 800):
+            doc.write_text(text)
+            with pytest.raises(ParseError, match="invalid document"):
+                load_schema(doc)
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = tmp_path / "schema.yaml"
@@ -193,8 +196,8 @@ class TestSampleFile:
     def test_non_numeric_cell_is_parse_error(self, tmp_path):
         schema = self._schema_doc(tmp_path)
         f = tmp_path / "s.csv"
-        f.write_text("group,score\na,tall\n")
-        with pytest.raises(ParseError, match="non-numeric value 'tall'"):
+        f.write_text("group,score\na,0.5\n\n\n\nb,tall\n")
+        with pytest.raises(ParseError, match=":6: non-numeric value 'tall'"):
             load_samples(f, schema)
 
     def test_undeclared_level_is_validation_error(self, tmp_path):
