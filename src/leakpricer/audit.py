@@ -26,7 +26,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
 from .pricing import LINEAR, PricingPolicy, _linear_surcharge, quantize_money, to_decimal
-from .schema import read_json_lines
+from .schema import read_json_lines, write_text
 
 CONSENT_PENDING = "pending"
 CONSENT_GRANTED = "granted"
@@ -262,7 +262,7 @@ def write_ledger(ledger: SessionLedger, path) -> None:
                 }
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_ledger(path) -> SessionLedger:
@@ -277,13 +277,9 @@ def read_ledger(path) -> SessionLedger:
     raw_policy = header["policy"]
     try:
         policy = PricingPolicy(
-            production_cost=Decimal(raw_policy["c_p"]),
+            production_cost=raw_policy["c_p"],
             rate_per_nat=raw_policy.get("lambda"),
-            max_penalty=(
-                Decimal(raw_policy["pi_max"])
-                if raw_policy.get("pi_max") is not None
-                else None
-            ),
+            max_penalty=raw_policy.get("pi_max"),
             currency=raw_policy.get("currency", "USD"),
         )
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

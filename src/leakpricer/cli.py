@@ -140,7 +140,7 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
     binned = schema_lib.discretize(samples, policy)
     text = schema_lib.samples_to_csv(binned)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        schema_lib.write_text(out_path, text)
         click.echo(f"wrote {binned.n} rows to {out_path}")
     else:
         click.echo(text, nl=False)
@@ -326,7 +326,7 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
     lines += [f"{_fmt_info(nats)},{_fmt_money(total)}" for nats, total in points]
     text = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        schema_lib.write_text(out_path, text)
         click.echo(f"wrote {len(points)} points to {out_path}")
     else:
         click.echo(text, nl=False)

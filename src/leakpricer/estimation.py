@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EstimationError, ValidationError
 from .infotheory import NATS, InfoQuantity, JointTable, mutual_information
-from .schema import LABEL_SEP, SampleSet, build_intersection_labels
+from .schema import SampleSet, build_intersection_labels
 
 PLUGIN = "plug-in-counts"
 KDE_MC = "kde-monte-carlo"
@@ -110,13 +110,12 @@ def empirical_joint(samples: SampleSet) -> JointTable:
         )
     s_labels = build_intersection_labels(schema)
     x_levels = schema.observable.levels
-    row_of = {level: i for i, level in enumerate(x_levels)}
-    col_of = {label: j for j, label in enumerate(s_labels)}
-    counts = np.zeros((len(x_levels), len(s_labels)))
-    for row in samples.rows:
-        s_label = LABEL_SEP.join(row[:-1])
-        counts[row_of[row[-1]], col_of[s_label]] += 1.0
-    return JointTable(x_levels, s_labels, counts / samples.n)
+    # the joint index runs over x first, then the protected codes in
+    # schema order: the row-major order of the table's cells
+    dims = [len(spec.levels) for spec in (schema.observable, *schema.attributes)]
+    cells = np.ravel_multi_index(samples.data[-1:] + samples.data[:-1], dims)
+    counts = np.bincount(cells, minlength=len(x_levels) * len(s_labels))
+    return JointTable(x_levels, s_labels, counts.reshape(len(x_levels), -1) / samples.n)
 
 
 class LogDensities(NamedTuple):
@@ -155,8 +154,11 @@ def kde_log_densities(
             f"missing bandwidth for continuous attribute {missing[0]!r}"
         )
 
-    s_inputs = _kernel_inputs(samples, schema.attributes, bandwidths)
-    x_inputs = _kernel_inputs(samples, (schema.observable,), bandwidths)
+    inputs = [
+        (values, bandwidths[spec.name].width if spec.is_continuous else None)
+        for spec, values in zip(schema.columns, samples.data)
+    ]
+    s_inputs, x_inputs = inputs[:-1], inputs[-1:]
     n = samples.n
     joint_mean, x_mean, s_mean = np.empty(n), np.empty(n), np.empty(n)
     rows = max(1, BLOCK_ENTRIES // n)
@@ -173,21 +175,6 @@ def kde_log_densities(
     x_log = _log_density(x_mean, "x marginal")
     s_log = _log_density(s_mean, "s marginal")
     return LogDensities(joint=joint_log, x=x_log, s=s_log)
-
-
-def _kernel_inputs(samples, specs, bandwidths) -> list:
-    """Per dimension of a group: ``(values, width)`` for a continuous
-    column, ``(level codes, None)`` for a categorical one."""
-    inputs = []
-    for spec in specs:
-        column = samples.column(spec.name)
-        if spec.is_continuous:
-            inputs.append((np.asarray(column, dtype=float), bandwidths[spec.name].width))
-        else:
-            code_of = {level: i for i, level in enumerate(spec.levels)}
-            codes = np.fromiter((code_of[c] for c in column), np.intp, len(column))
-            inputs.append((codes, None))
-    return inputs
 
 
 def _kernel_block(inputs, lo, hi) -> np.ndarray:
@@ -282,8 +269,8 @@ def estimate_mi(
         )
     if method == KDE_MC:
         widths = dict(bandwidths) if bandwidths else {}
-        for spec in continuous:
-            if spec.name not in widths:
-                widths[spec.name] = silverman_bandwidth(samples.column(spec.name))
+        for spec, values in zip(samples.schema.columns, samples.data):
+            if spec.is_continuous and spec.name not in widths:
+                widths[spec.name] = silverman_bandwidth(values)
         return mc_mutual_information(samples, widths, seed=seed)
     raise ValidationError(f"unknown estimation method {method!r}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels, read_csv_rows
+from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels, read_csv_rows, write_text
 
 NATS = "nats"
 BITS = "bits"
@@ -375,4 +375,4 @@ def write_joint_table(table: JointTable, path) -> None:
     lines = ["x," + ",".join(table.s_levels)]
     for label, row in zip(table.x_levels, table.probabilities):
         lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")

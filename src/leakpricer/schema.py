@@ -2,9 +2,13 @@
 
 A schema declares an ordered list of protected attributes plus one
 observable. Attributes are either categorical with a fixed level set or
-continuous with finite closed bounds. Samples are validated row by row
-against the schema; discretization maps continuous attributes onto
-categorical bins so the exact counting machinery applies downstream.
+continuous with finite closed bounds. Samples are stored one array per
+column, level codes for a categorical column and floats for a
+continuous one; a sample file is read straight into those columns and
+checked on the arrays, reporting the first bad value in row order, and
+the row tuples of :attr:`SampleSet.rows` are derived only on request.
+Discretization maps continuous attributes onto categorical bins so the
+exact counting machinery applies downstream.
 
 Binning conventions, fixed once here so results are reproducible:
 
@@ -185,65 +189,98 @@ class BinningPolicy:
         object.__setattr__(self, "rules", dict(self.rules))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SampleSet:
-    """Validated paired observations, one value per schema column.
+    """Validated paired observations, stored one array per schema column.
 
-    Row values follow :attr:`ProfileSchema.columns` order (protected
-    attributes first, observable last). Row order is preserved
-    throughout; reported row indices are zero-based data-row positions.
+    ``data`` follows :attr:`ProfileSchema.columns` order (protected
+    attributes first, observable last): a categorical column holds
+    ``np.intp`` indices into its levels, a continuous one ``float64``
+    values, and the arrays are read-only. ``SampleSet(schema, rows)``
+    checks one value per column per row; ``rows`` and :meth:`column`
+    derive Python values from the arrays on each call. Row order is
+    preserved throughout; reported row indices are zero-based data-row
+    positions. Two sample sets are equal when schema and rows are.
     """
 
     schema: ProfileSchema
-    rows: tuple[tuple, ...]
+    data: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, schema: ProfileSchema, rows) -> None:
+        rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise ValidationError("sample set must contain at least one row")
-        specs = self.schema.columns
+        specs = schema.columns
         for i, row in enumerate(rows):
             if len(row) != len(specs):
-                raise ValidationError(
-                    f"row {i}: expected {len(specs)} values, got {len(row)}"
-                )
+                raise ValidationError(f"row {i}: expected {len(specs)} values, got {len(row)}")
             for spec, value in zip(specs, row):
-                _check_value(spec, value, i)
+                _check_value(spec, value, f"row {i}")
+        self._set(schema, [
+            np.array(values, dtype=float) if spec.is_continuous
+            else np.array([spec.levels.index(v) for v in values], dtype=np.intp)
+            for spec, values in zip(specs, zip(*rows))
+        ])
+
+    @classmethod
+    def _of(cls, schema: ProfileSchema, data) -> "SampleSet":
+        """Wrap columns that are already valid for ``schema``."""
+        samples = object.__new__(cls)
+        samples._set(schema, data)
+        return samples
+
+    def _set(self, schema: ProfileSchema, data) -> None:
+        for values in data:
+            values.flags.writeable = False
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "data", tuple(data))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.data[0])
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*(self.column(spec.name) for spec in self.schema.columns)))
 
     def column(self, name: str) -> list:
-        specs = self.schema.columns
-        for j, spec in enumerate(specs):
+        for spec, values in zip(self.schema.columns, self.data):
             if spec.name == name:
-                return [row[j] for row in self.rows]
+                if spec.is_continuous:
+                    return values.tolist()
+                return [spec.levels[code] for code in values.tolist()]
         raise ValidationError(f"sample set has no column named {name!r}")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return (self.schema, self.rows) == (other.schema, other.rows)
 
-def _check_value(spec: AttributeSpec, value, row: int) -> None:
+    def __hash__(self) -> int:
+        return hash((self.schema, self.rows))
+
+
+def _check_value(spec: AttributeSpec, value, where: str) -> None:
     if spec.is_continuous:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(
-                f"row {row}, attribute {spec.name!r}: expected a number, got {value!r}"
+                f"{where}, attribute {spec.name!r}: expected a number, got {value!r}"
             )
         v = float(value)
         if not math.isfinite(v):
             raise ValidationError(
-                f"row {row}, attribute {spec.name!r}: value must be finite, got {value!r}"
+                f"{where}, attribute {spec.name!r}: value must be finite, got {value!r}"
             )
         # bounds are closed: both endpoints are legal values
         if not spec.lower <= v <= spec.upper:
             raise ValidationError(
-                f"row {row}, attribute {spec.name!r}: value {v} outside "
+                f"{where}, attribute {spec.name!r}: value {v} outside "
                 f"bounds [{spec.lower}, {spec.upper}]"
             )
     else:
         if value not in spec.levels:
             raise ValidationError(
-                f"row {row}, attribute {spec.name!r}: value {value!r} is not "
+                f"{where}, attribute {spec.name!r}: value {value!r} is not "
                 f"a declared level {list(spec.levels)}"
             )
 
@@ -261,28 +298,16 @@ def discretize(samples: SampleSet, policy: BinningPolicy) -> SampleSet:
         raise ValidationError(
             f"no binning rule for continuous attribute {missing[0]!r}"
         )
-    replaced: dict[str, AttributeSpec] = {}
-    assigned: dict[str, list[str]] = {}
-    for spec in continuous:
-        rule = policy.rules[spec.name]
-        values = np.asarray(samples.column(spec.name), dtype=float)
-        cuts, side = _resolve_cuts(spec, rule, values)
-        labels = tuple(f"bin{i}" for i in range(len(cuts) + 1))
-        idx = np.searchsorted(cuts, values, side=side)
-        replaced[spec.name] = AttributeSpec.categorical(spec.name, labels)
-        assigned[spec.name] = [labels[i] for i in idx]
-
-    new_columns = tuple(replaced.get(spec.name, spec) for spec in schema.columns)
-    new_schema = ProfileSchema(attributes=new_columns[:-1], observable=new_columns[-1])
-    new_rows = []
-    for i, row in enumerate(samples.rows):
-        new_rows.append(
-            tuple(
-                assigned[spec.name][i] if spec.name in assigned else value
-                for spec, value in zip(schema.columns, row)
+    specs, data = list(schema.columns), list(samples.data)
+    for j, spec in enumerate(schema.columns):
+        if spec.is_continuous:
+            cuts, side = _resolve_cuts(spec, policy.rules[spec.name], data[j])
+            specs[j] = AttributeSpec.categorical(
+                spec.name, tuple(f"bin{i}" for i in range(len(cuts) + 1))
             )
-        )
-    return SampleSet(new_schema, tuple(new_rows))
+            data[j] = np.searchsorted(cuts, data[j], side=side)
+    new_schema = ProfileSchema(attributes=tuple(specs[:-1]), observable=specs[-1])
+    return SampleSet._of(new_schema, data)
 
 
 def _resolve_cuts(
@@ -398,6 +423,26 @@ def read_lines(path):
         raise ParseError(f"{p}: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text through a new file beside ``path`` that then replaces
+    it, so a failed write leaves neither a partial file nor the new one; the
+    failure is a ParseError naming ``path``."""
+    import os
+
+    p = Path(path)
+    tmp = p.parent / f".{p.name}.{os.urandom(6).hex()}.tmp"
+    try:
+        # "x" creates a new file with the umask's permissions and follows no link
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        tmp.replace(p)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, UnicodeEncodeError)):
+            raise ParseError(f"{p}: {getattr(exc, 'strerror', None) or exc}") from None
+        raise
+
+
 def read_csv_rows(path, what: str):
     """Yield ``(line number, cells)`` for each non-blank row of a delimited
     file, header first. Line numbers are physical (blank lines count); every
@@ -406,7 +451,7 @@ def read_csv_rows(path, what: str):
     width = None
     try:
         for cells in reader:
-            if not any(cell.strip() for cell in cells):
+            if not "".join(cells).strip():
                 continue
             width = width or len(cells)  # the header's width
             if len(cells) != width:
@@ -480,38 +525,66 @@ def load_samples(path, schema: ProfileSchema) -> SampleSet:
         raise ValidationError(f"{p}: missing column {missing[0]!r}")
     position = {name: header.index(name) for name in declared}
     specs = schema.columns
-    rows = []
-    for lineno, row in raw:
-        values = []
-        for spec in specs:
-            cell = row[position[spec.name]].strip()
-            if spec.is_continuous:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{p}:{lineno}: non-numeric value {cell!r} "
-                        f"for attribute {spec.name!r}"
-                    ) from None
-            else:
-                values.append(cell)
-        rows.append(tuple(values))
-    if not rows:
+    codes = {spec.name: _LevelCodes(zip(spec.levels, itertools.count()))
+             for spec in specs if not spec.is_continuous}
+    columns = [[] for _ in specs]
+    plan = [
+        (values.append, codes[spec.name].__getitem__ if spec.name in codes else _to_float,
+         position[spec.name])
+        for values, spec in zip(columns, specs)
+    ]
+    for lineno, cells in raw:
+        try:
+            for append, convert, at in plan:
+                append(convert(cells[at]))
+        except ValueError:
+            raise ParseError(
+                f"{p}:{lineno}: non-numeric value {cells[at].strip()!r} "
+                f"for attribute {header[at]!r}"
+            ) from None
+    if not columns[0]:
         raise ParseError(f"{p}: sample file has a header but no data rows")
-    try:
-        return SampleSet(schema, tuple(rows))
-    except ValidationError as exc:
-        raise ValidationError(f"{p}: {exc}") from None
+    data = [np.array(values, dtype=float if spec.is_continuous else np.intp)
+            for spec, values in zip(specs, columns)]
+    del plan, columns  # the lists take as much memory as the arrays
+    # the first bad value in row order; code -1 marks an undeclared level
+    bad = []
+    for j, (spec, values) in enumerate(zip(specs, data)):
+        if spec.is_continuous:
+            ok = (spec.lower <= values) & (values <= spec.upper)
+        else:
+            ok = values >= 0
+        if not ok.all():
+            bad.append((int(ok.argmin()), j))
+    if bad:
+        i, j = min(bad)
+        spec = specs[j]
+        value = float(data[j][i]) if spec.is_continuous else codes[spec.name].miss
+        _check_value(spec, value, f"{p}: row {i}")
+    return SampleSet._of(schema, data)
+
+
+def _to_float(cell: str) -> float:
+    return float(cell.strip())
+
+
+class _LevelCodes(dict):
+    """``{level: code}`` for one categorical column; a cell not found as it
+    is gets stripped, and one still undeclared gets code -1, the first such
+    kept in ``miss``."""
+
+    miss = None
+
+    def __missing__(self, cell: str) -> int:
+        cell = cell.strip()
+        code = self.get(cell, -1)
+        if code < 0 and self.miss is None:
+            self.miss = cell
+        return code
 
 
 def samples_to_csv(samples: SampleSet) -> str:
     """Render a sample set back to delimited text in schema column order."""
-    specs = samples.schema.columns
-    lines = [",".join(spec.name for spec in specs)]
-    for row in samples.rows:
-        cells = [
-            repr(float(v)) if spec.is_continuous else str(v)
-            for spec, v in zip(specs, row)
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # str of a float is its shortest round-trip form, as repr is
+    rows = [[spec.name for spec in samples.schema.columns], *samples.rows]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)

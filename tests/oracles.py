@@ -122,3 +122,112 @@ INTERSECT_S = ("male+abled", "male+disabled", "female+abled", "female+disabled")
 # column groups projecting INTERSECT_TABLE onto single attributes
 SEX_GROUPS = [(0, 1), (2, 3)]
 DISABILITY_GROUPS = [(0, 2), (1, 3)]
+
+
+# Sample ingestion, row by row, as the library read and checked samples
+# before it stored them column by column. A column is described as
+# ``(name, levels, lower, upper)``: ``levels`` is a tuple of strings for a
+# categorical column and None for a continuous one with closed bounds.
+
+
+class Rejected(Exception):
+    """A rejection by the reference reader; ``kind`` is "parse" or "validation"."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+def check_sample_rows(columns, rows, where: str = "") -> tuple:
+    """Check every value row by row in column order and return the rows
+    as tuples; the first bad value is rejected by its row index."""
+    rows = tuple(tuple(r) for r in rows)
+    if not rows:
+        raise Rejected("validation", "sample set must contain at least one row")
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise Rejected("validation", f"row {i}: expected {len(columns)} values, got {len(row)}")
+        for (name, levels, lower, upper), value in zip(columns, row):
+            at = f"{where}row {i}, attribute {name!r}"
+            if levels is not None:
+                if value not in levels:
+                    raise Rejected(
+                        "validation",
+                        f"{at}: value {value!r} is not a declared level {list(levels)}",
+                    )
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise Rejected("validation", f"{at}: expected a number, got {value!r}")
+            elif not math.isfinite(float(value)):
+                raise Rejected("validation", f"{at}: value must be finite, got {value!r}")
+            elif not lower <= float(value) <= upper:
+                raise Rejected(
+                    "validation",
+                    f"{at}: value {float(value)} outside bounds [{lower}, {upper}]",
+                )
+    return rows
+
+
+def _nonblank_rows(path):
+    """``(line number, cells)`` of each row with a non-blank cell, as read."""
+    import csv
+
+    width = None
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not any(cell.strip() for cell in cells):
+                continue
+            width = width or len(cells)
+            if len(cells) != width:
+                raise Rejected(
+                    "parse", f"{path}:{reader.line_num}: expected {width} cells, got {len(cells)}"
+                )
+            yield reader.line_num, cells
+
+
+def read_sample_rows(path, columns) -> tuple:
+    """Read a sample file in one pass: bind the header to the columns by
+    name, parse each row's cells as the row is read, then check the rows."""
+    numbered = _nonblank_rows(path)
+    _, header = next(numbered, (None, None))
+    if header is None:
+        raise Rejected("parse", f"{path}: empty sample file")
+    header = [h.strip() for h in header]
+    names = [column[0] for column in columns]
+    if len(set(header)) != len(header):
+        raise Rejected("validation", f"{path}: duplicate column in header")
+    for h in header:
+        if h not in names:
+            raise Rejected("validation", f"{path}: unknown column {h!r}")
+    for name in names:
+        if name not in header:
+            raise Rejected("validation", f"{path}: missing column {name!r}")
+    rows = []
+    for lineno, cells in numbered:
+        row = []
+        for name, levels, _, _ in columns:
+            cell = cells[header.index(name)].strip()
+            if levels is not None:
+                row.append(cell)
+                continue
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise Rejected(
+                    "parse",
+                    f"{path}:{lineno}: non-numeric value {cell!r} for attribute {name!r}",
+                ) from None
+        rows.append(tuple(row))
+    if not rows:
+        raise Rejected("parse", f"{path}: sample file has a header but no data rows")
+    return check_sample_rows(columns, rows, f"{path}: ")
+
+
+def joint_counts(rows) -> dict:
+    """How often each (observable, protected...) combination occurs, with
+    the observable taken from the last value of each row."""
+    counts: dict = {}
+    for row in rows:
+        key = (row[-1], *row[:-1])
+        counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -271,6 +271,14 @@ class TestLedgerFile:
         with pytest.raises(ParseError, match="malformed policy"):
             read_ledger(path)
 
+    def test_header_money_read_as_written(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        policy = {"c_p": 0.1, "lambda": 1.0, "pi_max": 0.3}
+        path.write_text(json.dumps({"session": "s", "policy": policy}) + "\n")
+        read = read_ledger(path).policy
+        assert read.production_cost == Decimal("0.1")
+        assert read.max_penalty == Decimal("0.3")
+
     def test_unknown_consent_state(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         header = {

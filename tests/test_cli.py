@@ -537,6 +537,17 @@ def assert_only_package_errors(content: bytes) -> None:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+# the commands that write an --out file, each without its --out flag
+OUT_COMMANDS = {
+    "audit": ["audit", "--policy", "{data}/policy_calibrated.yaml",
+              "--events", "{data}/events.jsonl"],
+    "curve": ["curve", "--policy", "{data}/policy_linear.yaml", "--stop", "1", "--step", "0.5"],
+    "discretize": ["discretize", "--schema", "{data}/keystroke_schema.yaml",
+                   "--samples", "{data}/keystrokes.csv", "--bins", "impairment=equal-width:2",
+                   "--bins", "keystroke_interval=equal-width:2"],
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("flag", sorted(INPUT_FLAGS))
     def test_unreadable_input_exits_2_naming_the_file(self, runner, tmp_path, flag):
@@ -589,6 +600,24 @@ class TestExitCodes:
     def test_version_flag(self, runner):
         out = ok(runner, "--version")
         assert out.startswith("leakpricer, version ")
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_unwritable_out_exits_2_naming_the_path(self, runner, command):
+        out = "/nonexistent/dir/x"
+        args = [arg.format(data=DATA) for arg in OUT_COMMANDS[command]]
+        result = invoke(runner, *args, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_failed_write_leaves_the_directory_as_it_was(self, runner, tmp_path, command):
+        (tmp_path / "out").mkdir()
+        args = [arg.format(data=DATA) for arg in OUT_COMMANDS[command]]
+        result = invoke(runner, *args, "--out", tmp_path / "out")
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {tmp_path / 'out'}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not any((tmp_path / "out").iterdir())
 
 
 AUDIT_TEXT = (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -149,6 +150,27 @@ class TestEmpiricalJoint:
         assert table.probabilities.shape == (2, 4)
         assert table.probabilities.sum() == pytest.approx(1.0)
         assert table.probabilities[0, 0] == 1.0
+
+    def test_counts_match_oracle_on_uneven_levels(self):
+        levels = {"a": ("a0", "a1", "a2"), "b": ("b0", "b1"), "c": ("c0", "c1", "c2", "c3")}
+        x_levels = ("early", "late", "night")
+        schema = ProfileSchema(
+            attributes=tuple(AttributeSpec.categorical(n, lv) for n, lv in levels.items()),
+            observable=AttributeSpec.categorical("x", x_levels),
+        )
+        rng = np.random.default_rng(11)
+        pools = [*levels.values(), x_levels]
+        # c3 is never drawn, so at least its 18 cells must stay in the table as zeros
+        rows = [tuple(pool[rng.integers(min(len(pool), 3))] for pool in pools) for _ in range(50)]
+        table = empirical_joint(SampleSet(schema, rows))
+        counts = oracles.joint_counts(rows)
+        expected = [
+            [counts.get((x, *combo), 0) / len(rows) for combo in itertools.product(*levels.values())]
+            for x in x_levels
+        ]
+        assert np.array_equal(table.probabilities, np.array(expected))
+        assert table.probabilities.shape == (3, 24)
+        assert not table.probabilities[:, 3::4].any()
 
     def test_continuous_data_rejected(self):
         samples = gaussian_pairs(0, 10, 0.5)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leakpricer import (
     AttributeSpec,
@@ -14,10 +18,14 @@ from leakpricer import (
     ValidationError,
     build_intersection_labels,
     discretize,
+    empirical_joint,
     load_samples,
     load_schema,
     samples_to_csv,
 )
+from leakpricer.schema import read_csv_rows, write_text
+
+import oracles
 
 
 def _continuous_schema(lower=0.0, upper=1.0) -> ProfileSchema:
@@ -25,6 +33,114 @@ def _continuous_schema(lower=0.0, upper=1.0) -> ProfileSchema:
         attributes=(AttributeSpec.categorical("group", ["a", "b"]),),
         observable=AttributeSpec.continuous("score", lower, upper),
     )
+
+
+# Random schemas and sample files, checked against the row-wise reader in
+# tests/oracles.py. A column is (name, levels, lower, upper) as there.
+LEVEL_POOL = ("a", "b", "c", "long level")
+BOUNDS = ((0.0, 1.0), (-2.5, 3.0))
+# str.strip() removes \x1c-\x1f, float() alone does not
+PADDING = st.sampled_from(["", " ", "\t", "  ", "\x1c", " \x1f"])
+ODD_VALUES = st.sampled_from([None, 10**400, "0.5", b"a", ("a",), ["a"]])
+
+
+@st.composite
+def sample_columns(draw) -> list:
+    columns = []
+    for j in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            pool = st.sampled_from(LEVEL_POOL)
+            levels = tuple(draw(st.lists(pool, min_size=1, max_size=3, unique=True)))
+            columns.append((f"c{j}", levels, None, None))
+        else:
+            columns.append((f"c{j}", None, *draw(st.sampled_from(BOUNDS))))
+    return columns
+
+
+def schema_of(columns) -> ProfileSchema:
+    specs = [
+        AttributeSpec.categorical(name, levels)
+        if levels is not None
+        else AttributeSpec.continuous(name, lower, upper)
+        for name, levels, lower, upper in columns
+    ]
+    return ProfileSchema(attributes=tuple(specs[:-1]), observable=specs[-1])
+
+
+def mostly(valid, odd):
+    """Draws from ``valid`` four times in five, else from ``odd``."""
+    return st.integers(0, 4).flatmap(lambda k: odd if k == 0 else valid)
+
+
+def cell_text(column):
+    _, levels, lower, upper = column
+    if levels is not None:
+        core = mostly(st.sampled_from(levels), st.sampled_from(["zz", "1", "", "A"]))
+    else:
+        edges = [repr(lower), repr(upper), "nan", "inf", "-inf", "x1", "", "1e999", "1_0"]
+        core = mostly(st.floats(lower, upper).map(repr),
+                      st.floats(lower - 1, upper + 1).map(repr) | st.sampled_from(edges))
+    return st.tuples(PADDING, core, PADDING).map("".join)
+
+
+@st.composite
+def sample_file(draw) -> tuple:
+    """Columns plus the text of a sample file: the header in a random order,
+    then data rows, some short a cell, with blank, whitespace-only and
+    comma-only lines mixed in."""
+    columns = draw(sample_columns())
+    order = draw(st.permutations(range(len(columns))))
+    lines = [",".join(draw(PADDING) + columns[k][0] for k in order)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == 1:
+            lines.append("," * draw(st.integers(1, len(columns) + 1)))
+        else:
+            cells = [draw(cell_text(columns[k])) for k in order]
+            lines.append(",".join(cells[:-1] if kind == 2 else cells))
+    return columns, "\n".join(lines) + "\n"
+
+
+@st.composite
+def sample_rows(draw) -> tuple:
+    """Columns plus rows for ``SampleSet(schema, rows)``, mostly valid, with
+    ints, bools, non-finite floats, non-strings and rows of the wrong width."""
+    columns = draw(sample_columns())
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = []
+        for _, levels, lower, upper in columns:
+            if levels is not None:
+                odd = st.sampled_from(["zz", " a"]) | st.integers(-1, 2) | st.booleans() | ODD_VALUES
+                row.append(draw(mostly(st.sampled_from(levels), odd)))
+            else:
+                valid = st.floats(lower, upper) | st.integers(int(lower), int(upper))
+                row.append(draw(mostly(valid, st.floats() | st.booleans() | ODD_VALUES)))
+        width = draw(mostly(st.just(len(row)), st.integers(0, len(row) + 1)))
+        rows.append((row + ["a"])[:width])
+    return columns, rows
+
+
+def outcome(make) -> tuple:
+    """``("rows", rows)``, or the kind of error raised and its message."""
+    try:
+        return "rows", make()
+    except oracles.Rejected as exc:
+        return exc.kind, str(exc)
+    except ParseError as exc:
+        return "parse", str(exc)
+    except ValidationError as exc:
+        return "validation", str(exc)
+    except OverflowError as exc:
+        return "overflow", str(exc)
+
+
+#: tracemalloc bound, in MB, on reading and counting 50k rows of four
+#: categorical columns: the columns and the lists they are built from take
+#: about 3.2 MB; rows kept as tuples of strings would take about 15 MB
+PEAK_BOUND_MB = 6.5
 
 
 class TestAttributeSpec:
@@ -124,6 +240,30 @@ class TestSampleSet:
         assert samples.column("score") == [0.1, 0.2, 0.3]
         assert samples.column("group") == ["a", "b", "a"]
 
+    def test_stored_as_read_only_columns(self):
+        samples = SampleSet(_continuous_schema(), (("b", 0.5), ("a", 1)))
+        codes, scores = samples.data
+        assert codes.dtype == np.intp and codes.tolist() == [1, 0]
+        assert scores.dtype == np.float64 and scores.tolist() == [0.5, 1.0]
+        assert not codes.flags.writeable and not scores.flags.writeable
+        assert samples.rows == (("b", 0.5), ("a", 1.0))
+
+    def test_equal_and_hashed_by_schema_and_rows(self):
+        schema = _continuous_schema()
+        one = SampleSet(schema, (("a", 0.5), ("b", 1)))
+        same = SampleSet(schema, [["a", 0.5], ["b", 1.0]])
+        assert one == same and hash(one) == hash(same)
+        assert one != SampleSet(schema, (("a", 0.5), ("a", 1.0)))
+        assert one != SampleSet(_continuous_schema(0.0, 2.0), one.rows)
+        assert one != one.rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sample_rows())
+    def test_direct_construction_matches_row_wise_oracle(self, case):
+        columns, rows = case
+        got = outcome(lambda: SampleSet(schema_of(columns), rows).rows)
+        assert got == outcome(lambda: oracles.check_sample_rows(columns, rows))
+
 
 class TestSchemaFile:
     def test_round_trip(self, tmp_path):
@@ -220,6 +360,87 @@ class TestSampleFile:
         f = tmp_path / "out.csv"
         f.write_text(samples_to_csv(samples))
         assert load_samples(f, schema).rows == samples.rows
+
+    def test_loaded_equals_constructed(self, tmp_path):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        f.write_text("score,group\n 0.25 ,\ta\n1,b\n")
+        assert load_samples(f, schema) == SampleSet(schema, (("a", 0.25), ("b", 1.0)))
+
+    def test_first_bad_value_in_row_order(self, tmp_path):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        # row 1 holds the first bad value, though the group column comes first
+        f.write_text("group,score\na,0.5\na,nan\npurple,0.5\n")
+        with pytest.raises(ValidationError) as raised:
+            load_samples(f, schema)
+        assert str(raised.value) == (
+            f"{f}: row 1, attribute 'score': value must be finite, got nan"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sample_file())
+    def test_matches_row_wise_oracle(self, case):
+        columns, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8")
+            got = outcome(lambda: load_samples(path, schema_of(columns)).rows)
+            assert got == outcome(lambda: oracles.read_sample_rows(path, columns))
+
+    def test_ingest_peak_memory_bounded(self, tmp_path):
+        levels = [("male", "female"), ("abled", "disabled"),
+                  ("a18_29", "a30_39", "a40_49"), tuple(f"h{h:02d}" for h in range(24))]
+        names = ["sex", "disability", "age", "hour"]
+        specs = [AttributeSpec.categorical(n, lv) for n, lv in zip(names, levels)]
+        schema = ProfileSchema(attributes=tuple(specs[:-1]), observable=specs[-1])
+        rng = np.random.default_rng(3)
+        picks = [np.array(lv)[rng.integers(0, len(lv), 50_000)] for lv in levels]
+        f = tmp_path / "s.csv"
+        f.write_text("\n".join([",".join(names), *map(",".join, zip(*picks))]) + "\n")
+        tracemalloc.start()
+        try:
+            table = empirical_joint(load_samples(f, schema))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.probabilities.sum() == pytest.approx(1.0)
+        assert peak < PEAK_BOUND_MB * 2**20
+
+
+class TestCsvRows:
+    def test_blank_rows_skipped_line_numbers_physical(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("x,u,v\n \t, ,\n,,\n\n  \n,,,,\na,,\n,, b\n")
+        assert list(read_csv_rows(f, "t")) == [
+            (1, ["x", "u", "v"]), (7, ["a", "", ""]), (8, ["", "", " b"]),
+        ]
+
+
+class TestWriteText:
+    def test_replaces_the_target(self, tmp_path):
+        f = tmp_path / "out.txt"
+        f.write_text("old\n")
+        write_text(f, "new\n")
+        assert f.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path):
+        f = tmp_path / "out.txt"
+        f.write_text("old\n")
+        (tmp_path / "sub").mkdir()
+        # a lone surrogate fails while writing, a directory target when replacing
+        for target, text in ((f, "\ud800"), (tmp_path / "sub", "new\n")):
+            with pytest.raises(ParseError, match=f"^{target}: "):
+                write_text(target, text)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sub"]
+            assert f.read_text() == "old\n" and not any((tmp_path / "sub").iterdir())
+
+    def test_missing_directory_names_the_path(self, tmp_path):
+        target = tmp_path / "absent" / "x"
+        with pytest.raises(ParseError) as raised:
+            write_text(target, "x\n")
+        assert str(raised.value) == f"{target}: No such file or directory"
 
 
 class TestDiscretize:
