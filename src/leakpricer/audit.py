@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -53,6 +56,10 @@ class AuditEvent:
     rule: str
 
     def __post_init__(self) -> None:
+        # exact int and float, so the line template writes what json.dumps would
+        if type(self.sequence) is not int or type(self.leakage_nats) is not float:
+            object.__setattr__(self, "sequence", operator.index(self.sequence))
+            object.__setattr__(self, "leakage_nats", float(self.leakage_nats))
         if self.sequence < 1:
             raise ValidationError("event sequence numbers start at 1")
         if not (math.isfinite(self.leakage_nats) and self.leakage_nats >= 0):
@@ -75,6 +82,11 @@ class SessionLedger:
     policy: PricingPolicy
     consent: str = CONSENT_PENDING
     events: list[AuditEvent] = field(default_factory=list)
+
+    @cached_property
+    def _rate(self) -> Decimal:
+        """The policy rate as a Decimal, converted once per session, not per event."""
+        return to_decimal(self.policy.rate_per_nat)
 
     @property
     def total_leakage_nats(self) -> float:
@@ -126,10 +138,10 @@ def record_event(
             f"session is closed ({ledger.consent}); no further events"
         )
     nats = leakage.in_nats()
-    surcharge = quantize_money(_linear_surcharge(ledger.policy.rate_per_nat, nats))
+    surcharge = quantize_money(_linear_surcharge(ledger._rate, nats))
     event = AuditEvent(
         sequence=len(ledger.events) + 1,
-        timestamp=timestamp or datetime.now(timezone.utc).isoformat(),
+        timestamp=datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp,
         observable=str(observable),
         leakage_nats=nats,
         surcharge=surcharge,
@@ -162,12 +174,9 @@ class SessionReport:
             "  seq  timestamp                  observable            "
             "leakage (nats)  surcharge",
         ]
-        for event in self.events:
-            lines.append(
-                f"  {event.sequence:>3}  {event.timestamp:<25}  "
-                f"{event.observable:<20}  {event.leakage_nats:>14.6f}  "
-                f"{event.surcharge:>10}"
-            )
+        lines += ["  %3d  %-25s  %-20s  %14.6f  %10s" % (
+            e.sequence, e.timestamp, e.observable, e.leakage_nats, e.surcharge
+        ) for e in self.events]
         nats = self.total_leakage.in_nats()
         bits = self.total_leakage.in_bits()
         lines += [
@@ -229,39 +238,23 @@ def _policy_payload(policy: PricingPolicy) -> dict:
 
 def write_ledger(ledger: SessionLedger, path) -> None:
     """Serialize header, events in order, and the closure line if closed."""
-    lines = [
-        json.dumps(
-            {
-                "session": ledger.session_id,
-                "policy": _policy_payload(ledger.policy),
-                "consent": ledger.consent,
-            }
-        )
-    ]
-    for event in ledger.events:
-        lines.append(
-            json.dumps(
-                {
-                    "sequence": event.sequence,
-                    "timestamp": event.timestamp,
-                    "observable": event.observable,
-                    "leakage_nats": event.leakage_nats,
-                    "surcharge": str(event.surcharge),
-                    "rule": event.rule,
-                }
-            )
-        )
+    header = {"session": ledger.session_id, "policy": _policy_payload(ledger.policy),
+              "consent": ledger.consent}
+    lines = [json.dumps(header)]
+    # each event line is what json.dumps writes for these fields; an f-string,
+    # unlike %, sizes each line exactly, which keeps the peak memory down
+    lines += [f'{{"sequence": {e.sequence}, "timestamp": {_quote(e.timestamp)}, '
+              f'"observable": {_quote(e.observable)}, "leakage_nats": {e.leakage_nats!r}, '
+              f'"surcharge": {_quote(str(e.surcharge))}, "rule": {_quote(e.rule)}}}'
+              for e in ledger.events]
     if ledger.consent != CONSENT_PENDING:
-        lines.append(
-            json.dumps(
-                {
-                    "decision": ledger.consent,
-                    "total_leakage_nats": ledger.total_leakage_nats,
-                    "total_surcharge": str(ledger.total_surcharge),
-                    "grand_total": str(quantize_money(ledger.grand_total)),
-                }
-            )
-        )
+        closure = {
+            "decision": ledger.consent,
+            "total_leakage_nats": ledger.total_leakage_nats,
+            "total_surcharge": str(ledger.total_surcharge),
+            "grand_total": str(quantize_money(ledger.grand_total)),
+        }
+        lines.append(json.dumps(closure))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -305,7 +298,8 @@ def read_ledger(path) -> SessionLedger:
                 timestamp=str(record["timestamp"]),
                 observable=str(record["observable"]),
                 leakage_nats=float(record["leakage_nats"]),
-                surcharge=to_decimal(Decimal(record["surcharge"])),
+                # a JSON number is read by its shortest repr, as header money is
+                surcharge=to_decimal(Decimal(str(record["surcharge"]))),
                 rule=str(record["rule"]),
             )
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

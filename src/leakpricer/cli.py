@@ -29,6 +29,8 @@ EXIT_VALIDATION = 3
 
 #: Default per-event timestamp when the stream does not supply one.
 EPOCH = "1970-01-01T00:00:00+00:00"
+#: Keys an event line may carry.
+_EVENT_KEYS = frozenset({"observable", "leakage", "unit", "timestamp"})
 
 UNIT_CHOICE = click.Choice([NATS, BITS])
 FORMAT_CHOICE = click.Choice(["text", "machine"])
@@ -356,13 +358,15 @@ def _read_event_stream(path, ledger) -> str | None:
             continue
         if decision is not None:
             raise ValidationError(f"{p}:{lineno}: event after the decision line")
-        schema_lib.check_keys(record, {"observable", "leakage", "unit", "timestamp"},
-                              f"{p}:{lineno}", "event")
+        if not record.keys() <= _EVENT_KEYS:
+            schema_lib.check_keys(record, _EVENT_KEYS, f"{p}:{lineno}", "event")
         if "observable" not in record or "leakage" not in record:
             raise ValidationError(
                 f"{p}:{lineno}: event needs 'observable' and 'leakage'"
             )
         try:
+            if isinstance(record["leakage"], bool):  # no number, as in to_decimal
+                raise TypeError
             amount = float(record["leakage"])
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
@@ -371,7 +375,7 @@ def _read_event_stream(path, ledger) -> str | None:
         try:
             audit_lib.record_event(
                 ledger,
-                str(record["observable"]),
+                record["observable"],
                 InfoQuantity(amount, record.get("unit", NATS)),
                 timestamp=str(record.get("timestamp", EPOCH)),
             )

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakpricer import (
     AuditEvent,
@@ -18,9 +21,12 @@ from leakpricer import (
     NATS,
     ParseError,
     PricingPolicy,
+    SessionLedger,
+    SessionReport,
     ValidationError,
     build_report,
     close_session,
+    convert_lambda,
     open_session,
     price_linear,
     quantize_money,
@@ -28,6 +34,7 @@ from leakpricer import (
     record_event,
     write_ledger,
 )
+from leakpricer.pricing import _linear_surcharge
 
 CALIBRATED_RATE = 94339.62264150944
 
@@ -95,6 +102,11 @@ class TestSessionFlow:
         ledger = open_session(calibrated_policy())
         event = record_event(ledger, "obs", InfoQuantity(0.0, NATS))
         assert event.timestamp.endswith("+00:00")
+
+    def test_empty_timestamp_is_kept(self):
+        ledger = open_session(calibrated_policy())
+        event = record_event(ledger, "obs", InfoQuantity(0.0, NATS), timestamp="")
+        assert event.timestamp == ""
 
     def test_no_events_after_closure(self):
         ledger = two_event_session()
@@ -196,6 +208,12 @@ class TestEventValidation:
         with pytest.raises(ValidationError, match="nonnegative"):
             AuditEvent(1, "t", "obs", 0.1, Decimal("-1"), "linear")
 
+    def test_bool_and_int_numbers_are_normalised(self):
+        event = AuditEvent(True, "t", "obs", True, Decimal("0"), "linear")
+        assert (type(event.sequence), event.sequence) == (int, 1)
+        assert (type(event.leakage_nats), event.leakage_nats) == (float, 1.0)
+        assert type(AuditEvent(2, "t", "obs", 3, Decimal("0"), "linear").leakage_nats) is float
+
 
 class TestLedgerFile:
     def test_closed_round_trip(self, tmp_path):
@@ -279,6 +297,15 @@ class TestLedgerFile:
         assert read.production_cost == Decimal("0.1")
         assert read.max_penalty == Decimal("0.3")
 
+    def test_json_number_surcharge_read_by_shortest_repr(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        header = {"session": "s", "policy": {"c_p": "0", "lambda": 1.0}}
+        event = {"sequence": 1, "timestamp": "t", "observable": "o",
+                 "leakage_nats": 0.1, "surcharge": 0.1, "rule": "linear"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
+        surcharge = read_ledger(path).events[0].surcharge
+        assert str(surcharge) == "0.1"
+
     def test_unknown_consent_state(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         header = {
@@ -357,3 +384,131 @@ class TestLedgerFile:
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ParseError, match="no closure line"):
             read_ledger(path)
+
+
+# Text with what JSON must escape: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.
+LEDGER_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\xe9\U0001f600'),
+        st.characters(categories=["Cs"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+LEAKAGE_NATS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1]),
+    st.integers(0, 10**18),
+    st.booleans(),
+)
+# JSON reads an escaped high-low surrogate pair back as one character, so
+# a ledger round-trips only text that JSON itself round-trips.
+JSON_TEXT = LEDGER_TEXT.filter(lambda text: json.loads(json.dumps(text)) == text)
+MONEY = st.one_of(
+    st.decimals(min_value=0, max_value=10**20, places=4),
+    st.sampled_from([Decimal("0.0000"), Decimal("1E+3"), Decimal("-0"), Decimal("1E-7")]),
+)
+SURCHARGES = st.one_of(
+    MONEY, st.decimals(min_value=0, allow_nan=False), st.just(Decimal("9" * 60))
+)
+
+
+def audit_events(surcharges=SURCHARGES):
+    return st.builds(
+        AuditEvent,
+        sequence=st.one_of(st.integers(1, 10**30), st.just(True)),
+        timestamp=LEDGER_TEXT,
+        observable=LEDGER_TEXT,
+        leakage_nats=LEAKAGE_NATS,
+        surcharge=surcharges,
+        rule=LEDGER_TEXT,
+    )
+
+
+def written_lines(ledger) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        write_ledger(ledger, path)
+        text = path.read_bytes().decode("ascii")
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
+class TestLedgerTemplates:
+    """The fixed templates of the ledger hot path write what the general
+    formatting they replace wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(audit_events(), max_size=4))
+    def test_event_lines_are_what_json_dumps_writes(self, events):
+        ledger = SessionLedger("s", calibrated_policy(), events=events)
+        expected = [
+            json.dumps(
+                {
+                    "sequence": e.sequence,
+                    "timestamp": e.timestamp,
+                    "observable": e.observable,
+                    "leakage_nats": e.leakage_nats,
+                    "surcharge": str(e.surcharge),
+                    "rule": e.rule,
+                }
+            )
+            for e in events
+        ]
+        assert written_lines(ledger)[1:] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(audit_events(), max_size=4))
+    def test_report_rows_are_the_field_format_rows(self, events):
+        report = SessionReport(
+            "s", CONSENT_GRANTED, "USD", tuple(events), InfoQuantity(0.0, NATS),
+            Decimal("0"), Decimal("0"), Decimal("0"),
+        )
+        rows = "".join(
+            f"  {e.sequence:>3}  {e.timestamp:<25}  "
+            f"{e.observable:<20}  {e.leakage_nats:>14.6f}  "
+            f"{e.surcharge:>10}\n"
+            for e in events
+        )
+        head = "leakage (nats)  surcharge\n"
+        text = report.render()
+        assert text[text.index(head) + len(head):].startswith(rows + "\ntotal leakage:")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        session=JSON_TEXT,
+        consent=st.sampled_from([CONSENT_PENDING, CONSENT_GRANTED, CONSENT_DENIED]),
+        fields=st.lists(
+            st.tuples(JSON_TEXT, JSON_TEXT, st.floats(0.0, 1e300), MONEY), max_size=4
+        ),
+    )
+    def test_written_ledgers_read_back(self, session, consent, fields):
+        events = [
+            AuditEvent(i, timestamp, observable, nats, surcharge, "linear")
+            for i, (timestamp, observable, nats, surcharge) in enumerate(fields, start=1)
+        ]
+        ledger = SessionLedger(session, calibrated_policy(), consent, events)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.jsonl"
+            write_ledger(ledger, path)
+            assert read_ledger(path) == ledger
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.floats(min_value=1e-6, max_value=1e12),
+        rate_unit=st.sampled_from([NATS, BITS]),
+        value=st.floats(min_value=0.0, max_value=1e6),
+        unit=st.sampled_from([NATS, BITS]),
+    )
+    def test_once_converted_rate_prices_like_the_formula(self, rate, rate_unit, value, unit):
+        policy = PricingPolicy(
+            production_cost=Decimal("0"), rate_per_nat=convert_lambda(rate, rate_unit, NATS)
+        )
+        ledger = open_session(policy, session_id="s")
+        leakage = InfoQuantity(value, unit)
+        expected = quantize_money(_linear_surcharge(policy.rate_per_nat, leakage.in_nats()))
+        # the second event is priced with the rate the first one converted
+        for _ in range(2):
+            event = record_event(ledger, "obs", leakage, timestamp="t")
+            assert str(event.surcharge) == str(expected)

@@ -392,6 +392,33 @@ class TestAuditCommand:
         event = json.loads(ledger.read_text().splitlines()[1])
         assert event["timestamp"] == "1970-01-01T00:00:00+00:00"
 
+    def test_empty_timestamp_is_byte_reproducible(self, runner, data_dir, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            '{"observable": "obs", "leakage": 0.01, "timestamp": ""}\n'
+            '{"decision": "granted"}\n'
+        )
+        args = ("audit", "--policy", data_dir / "policy_calibrated.yaml",
+                "--events", events, "--out")
+        first = ok(runner, *args, tmp_path / "a.jsonl")
+        second = ok(runner, *args, tmp_path / "b.jsonl")
+        assert first == second
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        event = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[1])
+        assert event["timestamp"] == ""
+
+    @pytest.mark.parametrize("value, shown", [("true", "True"), ("false", "False")])
+    def test_boolean_leakage_rejected(self, runner, data_dir, tmp_path, value, shown):
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            f'{{"observable": "obs", "leakage": {value}}}\n{{"decision": "granted"}}\n'
+        )
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "ledger.jsonl")
+        assert result.exit_code == 3, result.output
+        assert f"{events}:1: non-numeric leakage {shown}" in result.stderr
+        assert not (tmp_path / "ledger.jsonl").exists()
+
     def test_bits_events_converted(self, runner, data_dir, tmp_path):
         events = tmp_path / "events.jsonl"
         events.write_text(

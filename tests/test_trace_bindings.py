@@ -1,0 +1,47 @@
+"""The benchmark tracer keeps attributing time to the package.
+
+``perfbench/bench_tracer.py`` swaps each ``(module, attribute)`` in its
+``BINDINGS`` for a timing wrapper, looking the module up in
+``sys.modules`` after ``import leakpricer.cli``. A binding that no longer
+resolves (a renamed function, a module imported lazily) breaks
+``perfbench/run.py --trace 1``; one that resolves but is no longer called
+through (a caller that binds the function by another name) silently
+reads zero.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
+
+from leakpricer import NATS, InfoQuantity, PricingPolicy, audit
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_tracer_binding_resolves_after_importing_the_cli():
+    # a fresh interpreter, so modules other tests imported do not hide a lazy import
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "import bench_spans, bench_tracer\n"
+        "bindings = bench_tracer.Bindings(bench_spans.Recorder())\n"
+        "assert len(bindings.entries) == len(bench_tracer.BINDINGS)\n"
+        "assert all(callable(plain) for _, _, plain, _ in bindings.entries)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_record_event_prices_through_the_audit_binding(monkeypatch):
+    calls = []
+    quantize = audit.quantize_money
+    monkeypatch.setattr(
+        audit, "quantize_money", lambda amount: calls.append(amount) or quantize(amount)
+    )
+    ledger = audit.open_session(PricingPolicy(production_cost=Decimal("0"), rate_per_nat=2.0))
+    for _ in range(3):
+        audit.record_event(ledger, "obs", InfoQuantity(0.5, NATS), timestamp="t")
+    assert calls == [Decimal("1.0")] * 3
