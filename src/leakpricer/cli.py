@@ -158,17 +158,10 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
     multiple=True,
     help="Kernel width override, NAME=WIDTH. Repeatable; Silverman otherwise.",
 )
-@click.option(
-    "--method",
-    type=click.Choice(["auto", "plugin", "kde"]),
-    default="auto",
-    show_default=True,
-    help="auto routes by schema kind: counts when all-categorical, KDE otherwise.",
-)
 @click.option("--unit", type=UNIT_CHOICE, default=NATS, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
 @_handle_errors
-def estimate(schema_path, samples_path, seed, bandwidth_flags, method, unit, fmt):
+def estimate(schema_path, samples_path, seed, bandwidth_flags, unit, fmt):
     """Estimate leakage I(X;S) from paired samples."""
     schema = schema_lib.load_schema(schema_path)
     samples = schema_lib.load_samples(samples_path, schema)
@@ -183,8 +176,7 @@ def estimate(schema_path, samples_path, seed, bandwidth_flags, method, unit, fmt
             raise ValidationError(
                 f"--bandwidth has a non-numeric width: {flag!r}"
             ) from None
-    chosen = {"auto": None, "plugin": estimation.PLUGIN, "kde": estimation.KDE_MC}[method]
-    result = estimation.estimate_mi(samples, bandwidths or None, seed=seed, method=chosen)
+    result = estimation.estimate_mi(samples, bandwidths or None, seed=seed)
     shown = result.value.to(unit)
     if fmt == "machine":
         _emit(

@@ -246,31 +246,25 @@ def estimate_mi(
     samples: SampleSet,
     bandwidths: dict[str, Bandwidth] | None = None,
     seed: int = 0,
-    method: str | None = None,
 ) -> MIEstimate:
     """Estimate leakage, routing by schema: exact counts when every
     attribute is categorical, kernel Monte Carlo otherwise.
 
     Bandwidths left unspecified for continuous attributes fall back to
-    :func:`silverman_bandwidth` on that attribute's sample column.
+    :func:`silverman_bandwidth` on that attribute's sample column; a
+    bandwidth for any other name is rejected.
     """
-    continuous = samples.schema.continuous_columns
-    if method is None:
-        method = KDE_MC if continuous else PLUGIN
-    if method == PLUGIN:
-        mi = mutual_information(empirical_joint(samples), NATS)
-        return MIEstimate(
-            value=mi,
-            n=samples.n,
-            method=PLUGIN,
-            seed=None,
-            raw_nats=mi.value,
-            bandwidths=None,
+    continuous = {spec.name for spec in samples.schema.continuous_columns}
+    stray = sorted(set(bandwidths or ()) - continuous)
+    if stray:
+        raise ValidationError(
+            f"bandwidth given for {stray[0]!r}, which is not a continuous attribute"
         )
-    if method == KDE_MC:
-        widths = dict(bandwidths) if bandwidths else {}
-        for spec, values in zip(samples.schema.columns, samples.data):
-            if spec.is_continuous and spec.name not in widths:
-                widths[spec.name] = silverman_bandwidth(values)
-        return mc_mutual_information(samples, widths, seed=seed)
-    raise ValidationError(f"unknown estimation method {method!r}")
+    if not continuous:
+        mi = mutual_information(empirical_joint(samples), NATS)
+        return MIEstimate(value=mi, n=samples.n, method=PLUGIN, raw_nats=mi.value)
+    widths = dict(bandwidths) if bandwidths else {}
+    for spec, values in zip(samples.schema.columns, samples.data):
+        if spec.is_continuous and spec.name not in widths:
+            widths[spec.name] = silverman_bandwidth(values)
+    return mc_mutual_information(samples, widths, seed=seed)

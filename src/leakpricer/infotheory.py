@@ -73,10 +73,6 @@ class InfoQuantity:
         return self.value if self.unit == BITS else self.value / LN2
 
     def to(self, unit: str) -> "InfoQuantity":
-        if unit not in _UNITS:
-            raise ValidationError(
-                f"unknown information unit {unit!r}; expected one of {_UNITS}"
-            )
         if unit == self.unit:
             return self
         return InfoQuantity(self.in_nats() if unit == NATS else self.in_bits(), unit)
@@ -168,10 +164,9 @@ def entropy(dist, unit: str = NATS) -> InfoQuantity:
     return InfoQuantity(_entropy_nats(p), NATS).to(unit)
 
 
-def _measures(joint: JointTable) -> tuple[float, float, float]:
-    """KL-form I(X; S), H(S) and H(S|X) in nats, from one set of
-    marginals, support mask and logs."""
-    p = joint.probabilities
+def _measures(p: np.ndarray) -> tuple[float, float, float]:
+    """KL-form I(X; S), H(S) and H(S|X) in nats of a joint probability
+    matrix, from one set of marginals, support mask and logs."""
     px = p.sum(axis=1)
     ps = p.sum(axis=0)
     mask = p > 0
@@ -183,7 +178,7 @@ def _measures(joint: JointTable) -> tuple[float, float, float]:
     log_cells = np.log(cells)
     log_px = np.log(px_cells)
     direct = float((cells * (log_cells - log_px - np.log(ps_cells))).sum())
-    # renormalized as entropy() does, so h_s equals entropy(joint.s_marginal())
+    # renormalized as entropy() does, so h_s equals entropy(p.sum(axis=0))
     h_s = _entropy_nats(ps / ps.sum())
     return direct, h_s, float((cells * (log_px - log_cells)).sum())
 
@@ -193,12 +188,12 @@ def conditional_entropy(joint: JointTable, unit: str = NATS) -> InfoQuantity:
 
     Rows with zero marginal probability contribute nothing.
     """
-    return InfoQuantity(_measures(joint)[2], NATS).to(unit)
+    return InfoQuantity(_measures(joint.probabilities)[2], NATS).to(unit)
 
 
-def _information(joint: JointTable) -> tuple[float, float]:
-    """Checked I(X; S) and H(S) in nats, as :func:`mutual_information` documents."""
-    direct, h_s, h_s_given_x = _measures(joint)
+def _information(p: np.ndarray) -> tuple[float, float]:
+    """Checked I(X; S) and H(S) in nats of a joint matrix; see :func:`mutual_information`."""
+    direct, h_s, h_s_given_x = _measures(p)
     difference = h_s - h_s_given_x
     if abs(direct - difference) > FORMULA_AGREEMENT:
         raise ValidationError(
@@ -228,12 +223,12 @@ def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
     :data:`NEG_CLAMP` is clamped to zero with a warning carrying the
     raw value.
     """
-    return InfoQuantity(_information(joint)[0], NATS).to(unit)
+    return InfoQuantity(_information(joint.probabilities)[0], NATS).to(unit)
 
 
 def _exposure(joint: JointTable) -> tuple[float, float]:
     """I(X; S) in nats and the exposure ratio, from one MI computation."""
-    nats, h_s = _information(joint)
+    nats, h_s = _information(joint.probabilities)
     if h_s <= 0.0:
         raise ValidationError(
             "profile entropy is zero; exposure ratio undefined "
@@ -272,23 +267,26 @@ def _subset_indices(schema: ProfileSchema, subset) -> list[int]:
     return indices
 
 
-def _subset_tables(joint: JointTable, schema: ProfileSchema, subsets):
-    """Yield the joint table of X with each subset of attributes; the
-    reshape is exact because the intersection labels enumerate the level
-    cross-product in C order, putting attribute i on axis i + 1."""
+def _attribute_tensor(joint: JointTable, schema: ProfileSchema) -> np.ndarray:
+    """The table as a tensor of shape (|X|, k_1, ..., k_m), once its columns
+    are checked against the schema's intersection labels; the reshape is
+    exact because the labels enumerate the level cross-product in C order,
+    putting attribute i on axis i + 1."""
     if tuple(joint.s_levels) != build_intersection_labels(schema):
         raise ValidationError(
             "joint table columns do not match the schema's intersection labels"
         )
-    attributes = schema.attributes
-    nx = len(joint.x_levels)
-    tensor = joint.probabilities.reshape([nx] + [len(a.levels) for a in attributes])
-    for indices in subsets:
-        dropped = tuple(1 + i for i in range(len(attributes)) if i not in indices)
-        collapsed = tensor.sum(axis=dropped).reshape(nx, -1)
-        pools = [attributes[i].levels for i in indices]
-        labels = tuple(LABEL_SEP.join(combo) for combo in itertools.product(*pools))
-        yield JointTable(joint.x_levels, labels, collapsed)
+    sizes = [len(a.levels) for a in schema.attributes]
+    return joint.probabilities.reshape([len(joint.x_levels)] + sizes)
+
+
+def _subset_mi(tensor: np.ndarray, indices, unit: str) -> InfoQuantity:
+    """Checked I(X; S_A) for the attributes at ``indices``: the others are
+    summed out in one reduction and the result renormalized as
+    :class:`JointTable` does."""
+    dropped = tuple(1 + i for i in range(tensor.ndim - 1) if i not in indices)
+    collapsed = tensor.sum(axis=dropped).reshape(tensor.shape[0], -1)
+    return InfoQuantity(_information(collapsed / float(collapsed.sum()))[0], NATS).to(unit)
 
 
 def marginal_mi(
@@ -305,8 +303,8 @@ def marginal_mi(
     the table is reshaped to a tensor of shape (|X|, k_1, ..., k_m) and
     the attributes outside A are summed out in one reduction.
     """
-    (table,) = _subset_tables(joint, schema, [_subset_indices(schema, subset)])
-    return mutual_information(table, unit)
+    indices = _subset_indices(schema, subset)
+    return _subset_mi(_attribute_tensor(joint, schema), indices, unit)
 
 
 def subset_key(schema: ProfileSchema, subset) -> str:
@@ -334,13 +332,11 @@ def intersection_leakage_report(
             f"leakage report enumerates 2^m subsets; refusing m={m} > "
             f"{MAX_REPORT_ATTRIBUTES} attributes"
         )
-    subsets = [
-        combo for size in range(1, m + 1) for combo in itertools.combinations(range(m), size)
-    ]
-    tables = _subset_tables(joint, schema, subsets)
+    tensor = _attribute_tensor(joint, schema)
     return {
-        subset_key(schema, combo): mutual_information(table, unit)
-        for combo, table in zip(subsets, tables)
+        LABEL_SEP.join(schema.attributes[i].name for i in combo): _subset_mi(tensor, combo, unit)
+        for size in range(1, m + 1)
+        for combo in itertools.combinations(range(m), size)
     }
 
 

@@ -39,6 +39,9 @@ WEIGHTED = "weighted"
 EXPOSURE = "exposure"
 RULES = (LINEAR, WEIGHTED, EXPOSURE)
 
+#: Price curves tabulate one Decimal per point; refuse beyond this many points.
+MAX_CURVE_POINTS = 100_000
+
 
 def to_decimal(amount) -> Decimal:
     """Exact, finite decimal from a number's shortest round-trip representation."""
@@ -274,12 +277,13 @@ def price_curve(
 
     Supports the linear and exposure rules; for exposure the leakage
     range must stay within [0, H] for the supplied baseline entropy.
+    The range must be finite and span at most :data:`MAX_CURVE_POINTS` points.
     A built-in check rejects any curve whose consecutive slopes drift,
     so a non-linear result can never be returned silently.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"step must be positive, got {step!r}")
-    if start < 0 or stop < start:
+    if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start:
         raise ValidationError(f"invalid leakage range [{start}, {stop}]")
     if rule == LINEAR:
         if policy.rate_per_nat is None:
@@ -308,7 +312,13 @@ def price_curve(
         raise ValidationError(
             f"price curves support the linear and exposure rules, not {rule!r}"
         )
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_CURVE_POINTS:
+        raise ValidationError(
+            f"curve over [{start}, {stop}] in steps of {step} has more than "
+            f"{MAX_CURVE_POINTS} points"
+        )
+    count = int(math.floor(steps)) + 1
     points = [(start + i * step, total_at(start + i * step)) for i in range(count)]
     _check_constant_slope(points)
     return points

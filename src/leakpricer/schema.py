@@ -109,6 +109,12 @@ class ProfileSchema:
             raise ValidationError(
                 f"attribute names must be unique; duplicated: {duplicated}"
             )
+        joined = [a.name for a in self.attributes if LABEL_SEP in str(a.name)]
+        if joined:
+            raise ValidationError(
+                f"protected attribute name {joined[0]!r} contains {LABEL_SEP!r}, "
+                "which joins attribute names into subset names"
+            )
 
     @property
     def columns(self) -> tuple[AttributeSpec, ...]:

@@ -172,6 +172,15 @@ class TestEstimateCommand:
         assert result.exit_code == 3
         assert "NAME=WIDTH" in result.stderr
 
+    @pytest.mark.parametrize("name", ["typo", "sex"])
+    def test_bandwidth_for_a_non_continuous_name_exits_3(self, runner, data_dir, name):
+        result = invoke(runner, "estimate", "--schema", data_dir / "keystroke_schema.yaml",
+                        "--samples", data_dir / "keystrokes.csv", "--bandwidth", f"{name}=0.5")
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"error: bandwidth given for {name!r}, which is not a continuous attribute\n"
+        )
+
 
 class TestDiscretizeCommand:
     def test_bins_to_file(self, runner, data_dir, tmp_path):
@@ -269,6 +278,20 @@ class TestPriceCommand:
         assert result.exit_code == 3
         assert "--table" in result.stderr
 
+    def test_separator_in_a_protected_name_exits_3(self, runner, data_dir, tmp_path):
+        # with a+b as an attribute, its leakage and that of {a, b} would share one key
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(yaml.safe_dump({
+            "attributes": [{"name": n, "kind": "categorical", "levels": ["0", "1"]}
+                           for n in ("a", "b", "a+b")],
+            "observable": {"name": "x", "kind": "categorical", "levels": ["l", "r"]},
+        }))
+        result = invoke(runner, "price", "--policy", data_dir / "policy_weighted.yaml",
+                        "--table", data_dir / "timeofday_sex_disability.csv",
+                        "--schema", schema)
+        assert result.exit_code == 3
+        assert "'a+b' contains '+'" in result.stderr
+
     def test_rule_override(self, runner, data_dir):
         doc = json.loads(
             ok(runner, "price", "--policy", data_dir / "policy_calibrated.yaml",
@@ -306,6 +329,12 @@ class TestCurveCommand:
                  "--stop", "0.1", "--step", "0.05", "--out", out_path)
         assert msg == f"wrote 3 points to {out_path}\n"
         assert out_path.read_text().startswith("leakage,value\n")
+
+    def test_too_many_points_exits_3(self, runner, data_dir):
+        result = invoke(runner, "curve", "--policy", data_dir / "policy_linear.yaml",
+                        "--stop", "1e9", "--step", "1")
+        assert result.exit_code == 3
+        assert "more than 100000 points" in result.stderr
 
     def test_exposure_needs_entropy(self, runner, data_dir):
         result = invoke(runner, "curve", "--policy", data_dir / "policy_exposure.yaml",
@@ -575,7 +604,40 @@ OUT_COMMANDS = {
 }
 
 
+# every float-valued option, as (command line before the flag, the flag, ARG
+# template); {v} is the non-finite value
+FLOAT_FLAGS = [
+    (["price", "--policy", "{data}/policy_linear.yaml"], "--leakage", "{v}"),
+    (["calibrate", "--entropy", "1"], "--pi-max", "{v}"),
+    (["calibrate", "--pi-max", "100"], "--entropy", "{v}"),
+    (["curve", "--policy", "{data}/policy_linear.yaml", "--stop", "1", "--step", "0.5"],
+     "--start", "{v}"),
+    (["curve", "--policy", "{data}/policy_linear.yaml", "--step", "0.5"], "--stop", "{v}"),
+    (["curve", "--policy", "{data}/policy_linear.yaml", "--stop", "1"], "--step", "{v}"),
+    (["curve", "--policy", "{data}/policy_exposure.yaml", "--rule", "exposure",
+      "--stop", "1", "--step", "0.5"], "--entropy", "{v}"),
+    (["estimate", "--schema", "{data}/keystroke_schema.yaml",
+      "--samples", "{data}/keystrokes.csv"], "--bandwidth", "impairment={v}"),
+    (["discretize", "--schema", "{data}/keystroke_schema.yaml",
+      "--samples", "{data}/keystrokes.csv", "--bins", "keystroke_interval=equal-width:2"],
+     "--bins", "impairment=cuts:0.5,{v}"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "before, flag, template", FLOAT_FLAGS,
+        ids=[f"{before[0]}{flag}" for before, flag, _ in FLOAT_FLAGS],
+    )
+    def test_non_finite_float_flag_exits_2_or_3(self, runner, before, flag, template, value):
+        args = [arg.format(data=DATA) for arg in before]
+        result = invoke(runner, *args, f"{flag}={template.format(v=value)}")
+        assert result.exit_code in (2, 3), result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:")
+
     @pytest.mark.parametrize("flag", sorted(INPUT_FLAGS))
     def test_unreadable_input_exits_2_naming_the_file(self, runner, tmp_path, flag):
         path = tmp_path / "input"

@@ -381,8 +381,9 @@ class TestMonteCarloMI:
             for _ in range(250)
         ]
         samples = categorical_pair_samples(rows)
-        plug = estimate_mi(samples, method=PLUGIN)
+        plug = estimate_mi(samples)
         kde = mc_mutual_information(samples, {})
+        assert plug.method == PLUGIN
         assert abs(plug.value.value - kde.value.value) <= 1e-9
 
     def test_plugin_equals_exact_mi_of_counts(self):
@@ -397,6 +398,17 @@ class TestMonteCarloMI:
         assert est.value.value == direct
         assert est.value.unit == "nats"
 
+    @pytest.mark.parametrize("name", ["typo", "sex"])
+    def test_bandwidth_for_a_non_continuous_name_rejected(self, name):
+        samples = mixed_samples(2, 20)
+        with pytest.raises(ValidationError, match=f"{name!r}, which is not a continuous"):
+            estimate_mi(samples, {"impairment": Bandwidth(0.1), name: Bandwidth(0.5)})
+
+    def test_bandwidth_on_categorical_data_rejected(self):
+        samples = categorical_pair_samples([("male", "morning"), ("female", "evening")])
+        with pytest.raises(ValidationError, match="'sex', which is not a continuous"):
+            estimate_mi(samples, {"sex": Bandwidth(0.5)})
+
     def test_dispatcher_fills_silverman_defaults(self):
         samples = gaussian_pairs(2, 120, 0.5)
         est = estimate_mi(samples, seed=2)
@@ -404,25 +416,6 @@ class TestMonteCarloMI:
         assert est.bandwidths["trait"] == pytest.approx(
             silverman_bandwidth(samples.column("trait")).width
         )
-
-    def test_explicit_kde_route_allowed_on_categorical(self):
-        samples = categorical_pair_samples(
-            [("male", "morning")] * 3 + [("female", "evening")] * 2
-        )
-        forced = estimate_mi(samples, method=KDE_MC)
-        auto = estimate_mi(samples)
-        assert forced.method == KDE_MC
-        assert abs(forced.value.value - auto.value.value) <= 1e-9
-
-    def test_unknown_method_rejected(self):
-        samples = categorical_pair_samples([("male", "morning"), ("female", "evening")])
-        with pytest.raises(ValidationError, match="unknown estimation method"):
-            estimate_mi(samples, method="bootstrap")
-
-    def test_plugin_on_continuous_rejected(self):
-        samples = gaussian_pairs(0, 10, 0.5)
-        with pytest.raises(ValidationError, match="discretize first"):
-            estimate_mi(samples, method=PLUGIN)
 
 
 def _silverman_pair(samples: SampleSet) -> dict[str, Bandwidth]:

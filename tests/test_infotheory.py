@@ -6,15 +6,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leakpricer import (
     BITS,
     LN2,
     NATS,
+    AttributeSpec,
     InfoQuantity,
     JointTable,
+    ProfileSchema,
     ValidationError,
+    build_intersection_labels,
     conditional_entropy,
     entropy,
     exposure_ratio,
@@ -147,7 +150,9 @@ class TestEntropy:
             warnings.simplefilter("ignore", RuntimeWarning)
             h = value_or_error(lambda: entropy(v).value)
             h_table = value_or_error(
-                lambda: _measures(JointTable(("x",), labels, v[None, :]))[1]
+                lambda: _measures(
+                    JointTable(("x",), labels, v[None, :]).probabilities
+                )[1]
             )
         if isinstance(h, float) and isinstance(h_table, float):
             assert abs(h - h_table) <= 1e-12
@@ -315,12 +320,46 @@ class TestLeakageReport:
                 assert got == pytest.approx(expected, abs=1e-12)
                 assert got == marginal_mi(table, schema, subset).value
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        nx=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        sparsity=st.sampled_from([0.0, 0.3, 0.8]),
+    )
+    def test_entries_equal_mi_of_the_collapsed_joint_table(self, counts, nx, seed, sparsity):
+        schema = ProfileSchema(
+            attributes=tuple(
+                AttributeSpec.categorical(f"a{k}", [f"v{j}" for j in range(c)])
+                for k, c in enumerate(counts)
+            ),
+            observable=AttributeSpec.categorical("x", [f"x{i}" for i in range(nx)]),
+        )
+        labels = build_intersection_labels(schema)
+        rng = np.random.default_rng(seed)
+        shape = (nx, len(labels))
+        weights = np.where(rng.random(shape) < sparsity, 0.0, rng.random(shape))
+        weights[0, 0] = 1.0
+        table = JointTable(schema.observable.levels, labels, weights / weights.sum())
+        tensor = table.probabilities.reshape([nx] + list(counts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = intersection_leakage_report(table, schema)
+            assert len(report) == 2 ** len(counts) - 1
+            for size in range(1, len(counts) + 1):
+                for subset in itertools.combinations(range(len(counts)), size):
+                    dropped = tuple(1 + i for i in range(len(counts)) if i not in subset)
+                    collapsed = tensor.sum(axis=dropped).reshape(nx, -1)
+                    # a table of the collapsed marginal, checked and renormalized on its own
+                    own = JointTable(table.x_levels, range(collapsed.shape[1]), collapsed)
+                    expected = mutual_information(own)
+                    assert report[subset_key(schema, subset)] == expected
+                    assert marginal_mi(table, schema, subset) == expected
+
     def test_subset_key_sorted_by_schema_order(self, intersect_schema):
         assert subset_key(intersect_schema, (1, 0)) == "sex+disability"
 
     def test_refuses_too_many_attributes(self):
-        from leakpricer import AttributeSpec, ProfileSchema
-
         schema = ProfileSchema(
             attributes=tuple(
                 AttributeSpec.categorical(f"a{i}", ["0", "1"]) for i in range(13)

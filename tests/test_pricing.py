@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -29,6 +30,7 @@ from leakpricer import (
     quantize_money,
     to_decimal,
 )
+from leakpricer.pricing import MAX_CURVE_POINTS
 
 import oracles
 
@@ -419,6 +421,22 @@ class TestPriceCurve:
             price_curve(policy, LINEAR, 1.0, 0.5, 0.1)
         with pytest.raises(ValidationError, match="invalid leakage range"):
             price_curve(policy, LINEAR, -0.5, 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "start, stop", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)]
+    )
+    def test_non_finite_range_rejected(self, start, stop):
+        policy = PricingPolicy(production_cost=Decimal("0"), rate_per_nat=1.0)
+        with pytest.raises(ValidationError, match="invalid leakage range"):
+            price_curve(policy, LINEAR, start, stop, 0.5)
+
+    def test_point_count_capped(self):
+        policy = PricingPolicy(production_cost=Decimal("0"), rate_per_nat=1.0)
+        last = (MAX_CURVE_POINTS - 1) * 0.5
+        assert len(price_curve(policy, LINEAR, 0.0, last, 0.5)) == MAX_CURVE_POINTS
+        for stop, step in ((last + 0.5, 0.5), (1e9, 1.0), (1e300, 1e-300)):
+            with pytest.raises(ValidationError, match=f"more than {MAX_CURVE_POINTS} points"):
+                price_curve(policy, LINEAR, 0.0, stop, step)
 
     def test_exposure_range_capped_by_entropy(self):
         policy = PricingPolicy(production_cost=Decimal("0"), max_penalty=Decimal("10"))

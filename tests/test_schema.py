@@ -180,6 +180,21 @@ class TestProfileSchema:
         with pytest.raises(ValidationError, match="at least one protected"):
             ProfileSchema(attributes=(), observable=AttributeSpec.categorical("x", ["a"]))
 
+    def test_label_separator_in_protected_name_rejected(self):
+        # subset {a, b} and an attribute named a+b would share the report key a+b
+        with pytest.raises(ValidationError, match="'a\\+b' contains '\\+'"):
+            ProfileSchema(
+                attributes=tuple(AttributeSpec.categorical(n, ["0", "1"]) for n in ("a", "b", "a+b")),
+                observable=AttributeSpec.categorical("x", ["l", "r"]),
+            )
+
+    def test_label_separator_allowed_in_observable_name(self):
+        schema = ProfileSchema(
+            attributes=(AttributeSpec.categorical("a", ["0", "1"]),),
+            observable=AttributeSpec.categorical("x+y", ["l", "r"]),
+        )
+        assert schema.observable.name == "x+y"
+
     def test_columns_order_protected_then_observable(self, intersect_schema):
         names = [spec.name for spec in intersect_schema.columns]
         assert names == ["sex", "disability", "timeofday"]
