@@ -176,7 +176,7 @@ def estimate(schema_path, samples_path, seed, bandwidth_flags, unit, fmt):
             raise ValidationError(
                 f"--bandwidth has a non-numeric width: {flag!r}"
             ) from None
-    result = estimation.estimate_mi(samples, bandwidths or None, seed=seed)
+    result = estimation.estimate_mi(samples, bandwidths, seed=seed)
     shown = result.value.to(unit)
     if fmt == "machine":
         _emit(

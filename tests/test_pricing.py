@@ -423,7 +423,8 @@ class TestPriceCurve:
             price_curve(policy, LINEAR, -0.5, 0.5, 0.1)
 
     @pytest.mark.parametrize(
-        "start, stop", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)]
+        "start, stop",
+        [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)],
     )
     def test_non_finite_range_rejected(self, start, stop):
         policy = PricingPolicy(production_cost=Decimal("0"), rate_per_nat=1.0)

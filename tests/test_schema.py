@@ -184,7 +184,9 @@ class TestProfileSchema:
         # subset {a, b} and an attribute named a+b would share the report key a+b
         with pytest.raises(ValidationError, match="'a\\+b' contains '\\+'"):
             ProfileSchema(
-                attributes=tuple(AttributeSpec.categorical(n, ["0", "1"]) for n in ("a", "b", "a+b")),
+                attributes=tuple(
+                    AttributeSpec.categorical(n, ["0", "1"]) for n in ("a", "b", "a+b")
+                ),
                 observable=AttributeSpec.categorical("x", ["l", "r"]),
             )
 
