@@ -294,7 +294,7 @@ def read_ledger(path) -> SessionLedger:
             raise ParseError(f"{p}:{lineno}: event after the closure line")
         try:
             event = AuditEvent(
-                sequence=int(record["sequence"]),
+                sequence=record["sequence"],  # AuditEvent takes an exact integer only
                 timestamp=str(record["timestamp"]),
                 observable=str(record["observable"]),
                 leakage_nats=float(record["leakage_nats"]),

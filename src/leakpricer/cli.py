@@ -138,8 +138,7 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
     """Bin continuous attributes so exact counting applies."""
     schema = schema_lib.load_schema(schema_path)
     samples = schema_lib.load_samples(samples_path, schema)
-    policy = schema_lib.BinningPolicy(dict(_parse_bin_flag(f) for f in bin_flags))
-    binned = schema_lib.discretize(samples, policy)
+    binned = schema_lib.discretize(samples, dict(_parse_bin_flag(f) for f in bin_flags))
     text = schema_lib.samples_to_csv(binned)
     if out_path:
         schema_lib.write_text(out_path, text)
@@ -364,25 +363,33 @@ def _read_event_stream(path, ledger) -> str | None:
             raise ValidationError(
                 f"{p}:{lineno}: non-numeric leakage {record['leakage']!r}"
             ) from None
+        observable, timestamp = record["observable"], record.get("timestamp", EPOCH)
+        if not (isinstance(observable, str) and isinstance(timestamp, str)):
+            key = "timestamp" if isinstance(observable, str) else "observable"
+            raise ValidationError(
+                f"{p}:{lineno}: event {key!r} must be a string, got {record[key]!r}"
+            )
         try:
             audit_lib.record_event(
                 ledger,
-                record["observable"],
+                observable,
                 InfoQuantity(amount, record.get("unit", NATS)),
-                timestamp=str(record.get("timestamp", EPOCH)),
+                timestamp=timestamp,
             )
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
     return decision
 
 
-def _content_session_id(*paths) -> str:
+def _content_session_id(*paths, decision: str | None = None) -> str:
     digest = hashlib.sha256()
     for path in paths:
         # the reader yields lines with their endings, so this hashes the file's bytes
         for line in schema_lib.read_lines(path):
             digest.update(line.encode("utf-8"))
         digest.update(b"\x00")
+    if decision is not None:  # without the flag, ids stay those of the files alone
+        digest.update(f"--decision={decision}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -393,14 +400,14 @@ def _content_session_id(*paths) -> str:
 @click.option("--decision", type=click.Choice(["granted", "denied"]), default=None,
               help="Consent decision when the stream carries none.")
 @click.option("--session-id", default=None,
-              help="Defaults to a content hash of policy and events.")
+              help="Defaults to a content hash of policy, events and --decision.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
 @_handle_errors
 def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     """Replay an event stream into a priced, closed ledger."""
     policy = pricing.load_policy(policy_path)
     ledger = audit_lib.open_session(
-        policy, session_id or _content_session_id(policy_path, events_path)
+        policy, session_id or _content_session_id(policy_path, events_path, decision=decision)
     )
     stream_decision = _read_event_stream(events_path, ledger)
     if stream_decision is not None and decision is not None:

@@ -280,22 +280,17 @@ def _attribute_tensor(joint: JointTable, schema: ProfileSchema) -> np.ndarray:
     return joint.probabilities.reshape([len(joint.x_levels)] + sizes)
 
 
-def _subset_mi(tensor: np.ndarray, indices, unit: str) -> InfoQuantity:
+def _subset_mi(tensor: np.ndarray, indices) -> InfoQuantity:
     """Checked I(X; S_A) for the attributes at ``indices``: the others are
     summed out in one reduction and the result renormalized as
     :class:`JointTable` does."""
     dropped = tuple(1 + i for i in range(tensor.ndim - 1) if i not in indices)
     collapsed = tensor.sum(axis=dropped).reshape(tensor.shape[0], -1)
-    return InfoQuantity(_information(collapsed / float(collapsed.sum()))[0], NATS).to(unit)
+    return InfoQuantity(_information(collapsed / float(collapsed.sum()))[0], NATS)
 
 
-def marginal_mi(
-    joint: JointTable,
-    schema: ProfileSchema,
-    subset,
-    unit: str = NATS,
-) -> InfoQuantity:
-    """I(X; S_A) for a subset A of protected attributes.
+def marginal_mi(joint: JointTable, schema: ProfileSchema, subset) -> InfoQuantity:
+    """I(X; S_A) in nats for a subset A of protected attributes.
 
     ``subset`` holds integer indices into ``schema.attributes``; bools
     and non-integers are rejected. The joint table's columns must match
@@ -304,7 +299,7 @@ def marginal_mi(
     the attributes outside A are summed out in one reduction.
     """
     indices = _subset_indices(schema, subset)
-    return _subset_mi(_attribute_tensor(joint, schema), indices, unit)
+    return _subset_mi(_attribute_tensor(joint, schema), indices)
 
 
 def subset_key(schema: ProfileSchema, subset) -> str:
@@ -314,11 +309,9 @@ def subset_key(schema: ProfileSchema, subset) -> str:
 
 
 def intersection_leakage_report(
-    joint: JointTable,
-    schema: ProfileSchema,
-    unit: str = NATS,
+    joint: JointTable, schema: ProfileSchema
 ) -> dict[str, InfoQuantity]:
-    """Leakage for every non-empty attribute subset, keyed by subset name.
+    """Leakage in nats for every non-empty attribute subset, keyed by subset name.
 
     Enumerates all 2^m - 1 subsets, so m is capped at
     :data:`MAX_REPORT_ATTRIBUTES`. The columns are checked against the
@@ -334,7 +327,7 @@ def intersection_leakage_report(
         )
     tensor = _attribute_tensor(joint, schema)
     return {
-        LABEL_SEP.join(schema.attributes[i].name for i in combo): _subset_mi(tensor, combo, unit)
+        LABEL_SEP.join(schema.attributes[i].name for i in combo): _subset_mi(tensor, combo)
         for size in range(1, m + 1)
         for combo in itertools.combinations(range(m), size)
     }

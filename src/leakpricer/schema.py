@@ -25,7 +25,8 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -125,19 +126,14 @@ class ProfileSchema:
     def continuous_columns(self) -> tuple[AttributeSpec, ...]:
         return tuple(spec for spec in self.columns if spec.is_continuous)
 
-    def attribute(self, name: str) -> AttributeSpec:
-        for spec in self.columns:
-            if spec.name == name:
-                return spec
-        raise ValidationError(f"schema has no attribute named {name!r}")
-
 
 def build_intersection_labels(schema: ProfileSchema) -> tuple[str, ...]:
     """Joint labels for the full cross-product of protected levels.
 
     Labels are the per-attribute levels joined with ``+``, enumerated in
     lexicographic order of the schema's attribute order, so their count
-    equals the product of the level counts.
+    equals the product of the level counts. Levels that contain ``+`` can
+    join into one label twice; that is rejected.
     """
     cont = [a.name for a in schema.attributes if a.is_continuous]
     if cont:
@@ -145,7 +141,14 @@ def build_intersection_labels(schema: ProfileSchema) -> tuple[str, ...]:
             f"intersection labels need categorical attributes; {cont[0]!r} is continuous"
         )
     pools = [a.levels for a in schema.attributes]
-    return tuple(LABEL_SEP.join(combo) for combo in itertools.product(*pools))
+    labels = tuple(LABEL_SEP.join(combo) for combo in itertools.product(*pools))
+    if len(set(labels)) != len(labels):
+        repeated = next(label for label, n in Counter(labels).items() if n > 1)
+        raise ValidationError(
+            f"intersection label {repeated!r} is repeated: levels containing "
+            f"{LABEL_SEP!r} are ambiguous once joined"
+        )
+    return labels
 
 
 @dataclass(frozen=True)
@@ -185,16 +188,6 @@ class BinRule:
         return cls(method=EXPLICIT, cuts=tuple(float(c) for c in cuts))
 
 
-@dataclass(frozen=True)
-class BinningPolicy:
-    """Per-attribute binning rules keyed by attribute name."""
-
-    rules: Mapping[str, BinRule] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", dict(self.rules))
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SampleSet:
     """Validated paired observations, stored one array per schema column.
@@ -206,7 +199,7 @@ class SampleSet:
     checks one value per column per row; ``rows`` and :meth:`column`
     derive Python values from the arrays on each call. Row order is
     preserved throughout; reported row indices are zero-based data-row
-    positions. Two sample sets are equal when schema and rows are.
+    positions.
     """
 
     schema: ProfileSchema
@@ -257,14 +250,6 @@ class SampleSet:
                 return [spec.levels[code] for code in values.tolist()]
         raise ValidationError(f"sample set has no column named {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        return (self.schema, self.rows) == (other.schema, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.schema, self.rows))
-
 
 def _check_value(spec: AttributeSpec, value, where: str) -> None:
     if spec.is_continuous:
@@ -291,15 +276,15 @@ def _check_value(spec: AttributeSpec, value, where: str) -> None:
             )
 
 
-def discretize(samples: SampleSet, policy: BinningPolicy) -> SampleSet:
-    """Replace every continuous attribute with categorical bins.
+def discretize(samples: SampleSet, rules: Mapping[str, BinRule]) -> SampleSet:
+    """Replace every continuous attribute with the categorical bins of its rule.
 
-    Deterministic: the same samples and policy always give the same
+    Deterministic: the same samples and rules always give the same
     binning, and both sample count and row order are preserved.
     """
     schema = samples.schema
     continuous = schema.continuous_columns
-    missing = [spec.name for spec in continuous if spec.name not in policy.rules]
+    missing = [spec.name for spec in continuous if spec.name not in rules]
     if missing:
         raise ValidationError(
             f"no binning rule for continuous attribute {missing[0]!r}"
@@ -307,7 +292,7 @@ def discretize(samples: SampleSet, policy: BinningPolicy) -> SampleSet:
     specs, data = list(schema.columns), list(samples.data)
     for j, spec in enumerate(schema.columns):
         if spec.is_continuous:
-            cuts, side = _resolve_cuts(spec, policy.rules[spec.name], data[j])
+            cuts, side = _resolve_cuts(spec, rules[spec.name], data[j])
             specs[j] = AttributeSpec.categorical(
                 spec.name, tuple(f"bin{i}" for i in range(len(cuts) + 1))
             )

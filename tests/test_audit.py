@@ -350,6 +350,17 @@ class TestLedgerFile:
         with pytest.raises(ParseError, match="malformed event"):
             read_ledger(path)
 
+    @pytest.mark.parametrize("sequence", [1.9, 1.0, "1"])
+    def test_non_integer_sequence_is_malformed(self, tmp_path, sequence):
+        path = self._write_lines(tmp_path, self._event_line(sequence))
+        with pytest.raises(ParseError) as raised:
+            read_ledger(path)
+        assert str(raised.value).startswith(f"{path}:2: malformed event: ")
+
+    def test_boolean_sequence_reads_as_one(self, tmp_path):
+        path = self._write_lines(tmp_path, self._event_line(True))
+        assert read_ledger(path).events[0].sequence == 1
+
     def test_event_after_closure(self, tmp_path):
         closure = json.dumps({"decision": "granted"})
         path = self._write_lines(tmp_path, self._event_line(1), closure, self._event_line(2))

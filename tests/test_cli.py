@@ -181,6 +181,23 @@ class TestEstimateCommand:
             f"error: bandwidth given for {name!r}, which is not a continuous attribute\n"
         )
 
+    def test_levels_joining_into_one_label_exit_3_naming_it(self, runner, tmp_path):
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(
+            "attributes:\n"
+            "  - {name: p, kind: categorical, levels: [a+b, a]}\n"
+            "  - {name: q, kind: categorical, levels: [c, b+c]}\n"
+            "observable: {name: x, kind: categorical, levels: [u, v]}\n"
+        )
+        samples = tmp_path / "samples.csv"
+        samples.write_text("p,q,x\na+b,c,u\na,b+c,v\n")
+        result = invoke(runner, "estimate", "--schema", schema, "--samples", samples)
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "error: intersection label 'a+b+c' is repeated: levels containing '+' "
+            "are ambiguous once joined\n"
+        )
+
 
 class TestDiscretizeCommand:
     def test_bins_to_file(self, runner, data_dir, tmp_path):
@@ -390,6 +407,35 @@ class TestAuditCommand:
         assert "--decision" in result.stderr
         out = ok(runner, *args, "--decision", "denied")
         assert "decision: denied" in out
+
+    def test_session_id_tracks_the_decision_flag(self, runner, data_dir, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"observable": "obs", "leakage": 0.01}\n')
+        args = ("audit", "--policy", data_dir / "policy_calibrated.yaml", "--events", events)
+        granted = ok(runner, *args, "--out", tmp_path / "g.jsonl", "--decision", "granted")
+        denied = ok(runner, *args, "--out", tmp_path / "d.jsonl", "--decision", "denied")
+        assert granted.splitlines()[0] != denied.splitlines()[0]
+        # a stream that carries its decision keeps the id of its files alone
+        events.write_text('{"observable": "obs", "leakage": 0.01}\n{"decision": "denied"}\n')
+        digest = hashlib.sha256()
+        for path in (data_dir / "policy_calibrated.yaml", events):
+            digest.update(path.read_bytes() + b"\x00")
+        out = ok(runner, *args, "--out", tmp_path / "s.jsonl")
+        assert out.splitlines()[0] == f"session {digest.hexdigest()[:16]}"
+
+    @pytest.mark.parametrize("key", ["observable", "timestamp"])
+    @pytest.mark.parametrize("value", [None, 7, ["t"]])
+    def test_non_string_event_field_exits_3(self, runner, data_dir, tmp_path, key, value):
+        event = {"observable": "obs", "leakage": 0.01, key: value}
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(event) + '\n{"decision": "granted"}\n')
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "ledger.jsonl")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            f"error: {events}:1: event {key!r} must be a string, got {value!r}\n"
+        )
+        assert not (tmp_path / "ledger.jsonl").exists()
 
     def test_decision_only_stream_prices_at_production_cost(
         self, runner, data_dir, tmp_path

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from leakpricer import (
     AttributeSpec,
-    BinningPolicy,
     BinRule,
     ParseError,
     ProfileSchema,
@@ -230,6 +229,21 @@ class TestIntersectionLabels:
         with pytest.raises(ValidationError, match="continuous"):
             build_intersection_labels(schema)
 
+    def test_levels_joining_into_one_label_rejected(self):
+        schema = ProfileSchema(
+            attributes=(
+                AttributeSpec.categorical("p", ["a+b", "a"]),
+                AttributeSpec.categorical("q", ["c", "b+c"]),
+            ),
+            observable=AttributeSpec.categorical("x", ["l"]),
+        )
+        with pytest.raises(ValidationError) as raised:
+            build_intersection_labels(schema)
+        assert str(raised.value) == (
+            "intersection label 'a+b+c' is repeated: levels containing '+' "
+            "are ambiguous once joined"
+        )
+
 
 class TestSampleSet:
     def test_undeclared_level_names_row_and_attribute(self):
@@ -265,15 +279,6 @@ class TestSampleSet:
         assert not codes.flags.writeable and not scores.flags.writeable
         assert samples.rows == (("b", 0.5), ("a", 1.0))
 
-    def test_equal_and_hashed_by_schema_and_rows(self):
-        schema = _continuous_schema()
-        one = SampleSet(schema, (("a", 0.5), ("b", 1)))
-        same = SampleSet(schema, [["a", 0.5], ["b", 1.0]])
-        assert one == same and hash(one) == hash(same)
-        assert one != SampleSet(schema, (("a", 0.5), ("a", 1.0)))
-        assert one != SampleSet(_continuous_schema(0.0, 2.0), one.rows)
-        assert one != one.rows
-
     @settings(max_examples=300, deadline=None)
     @given(case=sample_rows())
     def test_direct_construction_matches_row_wise_oracle(self, case):
@@ -293,7 +298,7 @@ class TestSchemaFile:
         )
         schema = load_schema(doc)
         assert [s.name for s in schema.columns] == ["sex", "age", "clicks"]
-        assert schema.attribute("age").upper == 120.0
+        assert schema.columns[1].upper == 120.0
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="no such file"):
@@ -382,7 +387,9 @@ class TestSampleFile:
         schema = self._schema_doc(tmp_path)
         f = tmp_path / "s.csv"
         f.write_text("score,group\n 0.25 ,\ta\n1,b\n")
-        assert load_samples(f, schema) == SampleSet(schema, (("a", 0.25), ("b", 1.0)))
+        loaded = load_samples(f, schema)
+        constructed = SampleSet(schema, (("a", 0.25), ("b", 1.0)))
+        assert (loaded.schema, loaded.rows) == (constructed.schema, constructed.rows)
 
     def test_first_bad_value_in_row_order(self, tmp_path):
         schema = self._schema_doc(tmp_path)
@@ -464,22 +471,20 @@ class TestDiscretize:
     def test_equal_width_left_closed_right_open(self):
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, tuple(("a", v) for v in (0.0, 0.25, 0.49, 0.5, 0.99, 1.0)))
-        binned = discretize(samples, BinningPolicy({"score": BinRule.equal_width(4)}))
+        binned = discretize(samples, {"score": BinRule.equal_width(4)})
         assert [r[1] for r in binned.rows] == ["bin0", "bin1", "bin1", "bin2", "bin3", "bin3"]
         assert binned.schema.observable.levels == ("bin0", "bin1", "bin2", "bin3")
 
     def test_upper_bound_lands_in_last_bin(self):
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, (("a", 1.0), ("a", 0.0)))
-        binned = discretize(samples, BinningPolicy({"score": BinRule.equal_width(2)}))
+        binned = discretize(samples, {"score": BinRule.equal_width(2)})
         assert [r[1] for r in binned.rows] == ["bin1", "bin0"]
 
     def test_explicit_cuts(self):
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, (("a", 0.1), ("a", 0.4), ("a", 0.9), ("a", 0.33)))
-        binned = discretize(
-            samples, BinningPolicy({"score": BinRule.explicit([0.33, 0.66])})
-        )
+        binned = discretize(samples, {"score": BinRule.explicit([0.33, 0.66])})
         # 0.33 sits on a cut: interval is left-closed, so it opens bin1
         assert [r[1] for r in binned.rows] == ["bin0", "bin1", "bin2", "bin1"]
 
@@ -487,14 +492,14 @@ class TestDiscretize:
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, (("a", 0.5),))
         with pytest.raises(ValidationError, match="not strictly inside"):
-            discretize(samples, BinningPolicy({"score": BinRule.explicit([1.5])}))
+            discretize(samples, {"score": BinRule.explicit([1.5])})
 
     def test_quantile_median_split_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(0.0, 1.0, size=1000)
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, tuple(("a", float(v)) for v in values))
-        binned = discretize(samples, BinningPolicy({"score": BinRule.quantile(2)}))
+        binned = discretize(samples, {"score": BinRule.quantile(2)})
         got = [r[1] for r in binned.rows]
         assert got.count("bin0") == 500
         assert got.count("bin1") == 500
@@ -511,20 +516,20 @@ class TestDiscretize:
         samples = SampleSet(
             schema, tuple(("a", v) for v in (0.1, 0.2, 0.5, 0.5, 0.8, 0.9))
         )
-        binned = discretize(samples, BinningPolicy({"score": BinRule.quantile(2)}))
+        binned = discretize(samples, {"score": BinRule.quantile(2)})
         assert [r[1] for r in binned.rows] == ["bin0", "bin0", "bin0", "bin0", "bin1", "bin1"]
 
     def test_quantile_more_bins_than_distinct_values_rejected(self):
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, (("a", 0.2), ("a", 0.2), ("a", 0.8)))
         with pytest.raises(ValidationError, match="exceeds 2 distinct"):
-            discretize(samples, BinningPolicy({"score": BinRule.quantile(3)}))
+            discretize(samples, {"score": BinRule.quantile(3)})
 
     def test_missing_rule_rejected(self):
         schema = _continuous_schema()
         samples = SampleSet(schema, (("a", 0.5),))
         with pytest.raises(ValidationError, match="no binning rule"):
-            discretize(samples, BinningPolicy({}))
+            discretize(samples, {})
 
     def test_rule_needs_two_bins(self):
         with pytest.raises(ValidationError, match="at least 2 bins"):
@@ -539,7 +544,7 @@ class TestDiscretize:
             intersect_schema,
             (("male", "abled", "morning"), ("female", "disabled", "evening")),
         )
-        binned = discretize(samples, BinningPolicy({}))
+        binned = discretize(samples, {})
         assert binned.rows == samples.rows
 
     @given(
@@ -553,10 +558,10 @@ class TestDiscretize:
     def test_equal_width_preserves_count_and_order(self, values, bins):
         schema = _continuous_schema(0.0, 1.0)
         samples = SampleSet(schema, tuple(("a", v) for v in values))
-        binned = discretize(samples, BinningPolicy({"score": BinRule.equal_width(bins)}))
+        binned = discretize(samples, {"score": BinRule.equal_width(bins)})
         assert binned.n == samples.n
         # deterministic: same inputs, same assignment
-        again = discretize(samples, BinningPolicy({"score": BinRule.equal_width(bins)}))
+        again = discretize(samples, {"score": BinRule.equal_width(bins)})
         assert binned.rows == again.rows
         labels = binned.schema.observable.levels
         assert labels == tuple(f"bin{i}" for i in range(bins))
