@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import uuid
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -43,31 +44,30 @@ DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(
+    namedtuple("AuditEvent", "sequence timestamp observable leakage_nats surcharge rule")
+):
     """One recorded observation: what was observed, how much it leaked,
-    and what that cost. Surcharge is already on the money grid."""
+    and what that cost. Surcharge is already on the money grid. An
+    immutable named tuple; ``_make`` and ``_replace`` check it too."""
 
-    sequence: int
-    timestamp: str
-    observable: str
-    leakage_nats: float
-    surcharge: Decimal
-    rule: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self) -> None:
+    def __new__(cls, sequence: int, timestamp: str, observable: str, leakage_nats: float,
+                surcharge: Decimal, rule: str):
         # exact int and float, so the line template writes what json.dumps would
-        if type(self.sequence) is not int or type(self.leakage_nats) is not float:
-            object.__setattr__(self, "sequence", operator.index(self.sequence))
-            object.__setattr__(self, "leakage_nats", float(self.leakage_nats))
-        if self.sequence < 1:
+        if type(sequence) is not int or type(leakage_nats) is not float:
+            sequence, leakage_nats = operator.index(sequence), float(leakage_nats)
+        if sequence < 1:
             raise ValidationError("event sequence numbers start at 1")
-        if not (math.isfinite(self.leakage_nats) and self.leakage_nats >= 0):
+        if not (math.isfinite(leakage_nats) and leakage_nats >= 0):
             raise ValidationError(
-                f"event leakage must be finite and nonnegative, got {self.leakage_nats!r}"
+                f"event leakage must be finite and nonnegative, got {leakage_nats!r}"
             )
-        if self.surcharge < 0:
+        if surcharge < 0:
             raise ValidationError("event surcharge must be nonnegative")
+        return tuple.__new__(cls, (sequence, timestamp, observable, leakage_nats, surcharge, rule))
 
 
 @dataclass
@@ -267,6 +267,10 @@ def read_ledger(path) -> SessionLedger:
         raise ParseError(f"{p}: empty ledger file")
     if "session" not in header or "policy" not in header:
         raise ParseError(f"{p}: first ledger line must be the session header")
+    if type(header["session"]) is not str:
+        raise ParseError(
+            f"{p}: malformed session header: session must be a string, got {header['session']!r}"
+        )
     raw_policy = header["policy"]
     try:
         policy = PricingPolicy(
@@ -293,14 +297,20 @@ def read_ledger(path) -> SessionLedger:
         if closure is not None:
             raise ParseError(f"{p}:{lineno}: event after the closure line")
         try:
+            timestamp, observable = record["timestamp"], record["observable"]
+            if type(timestamp) is not str or type(observable) is not str:
+                key = "observable" if type(timestamp) is str else "timestamp"
+                raise TypeError(f"{key} must be a string, got {record[key]!r}")
+            if record["rule"] != LINEAR:
+                raise ValueError(f"rule must be {LINEAR!r}, got {record['rule']!r}")
             event = AuditEvent(
                 sequence=record["sequence"],  # AuditEvent takes an exact integer only
-                timestamp=str(record["timestamp"]),
-                observable=str(record["observable"]),
+                timestamp=timestamp,
+                observable=observable,
                 leakage_nats=float(record["leakage_nats"]),
                 # a JSON number is read by its shortest repr, as header money is
                 surcharge=to_decimal(Decimal(str(record["surcharge"]))),
-                rule=str(record["rule"]),
+                rule=LINEAR,
             )
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"{p}:{lineno}: malformed event: {exc}") from None
@@ -322,7 +332,7 @@ def read_ledger(path) -> SessionLedger:
     elif consent != CONSENT_PENDING:
         raise ParseError(f"{p}: consent is {consent!r} but no closure line found")
     return SessionLedger(
-        session_id=str(header["session"]),
+        session_id=header["session"],
         policy=policy,
         consent=consent,
         events=events,

@@ -27,11 +27,9 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import EstimationError, ValidationError
 from .infotheory import NATS, InfoQuantity, JointTable, mutual_information
-from .schema import SampleSet, build_intersection_labels
+from .schema import SampleSet, build_intersection_labels, np
 
 PLUGIN = "plug-in-counts"
 KDE_MC = "kde-monte-carlo"

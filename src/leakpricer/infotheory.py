@@ -20,10 +20,10 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
-from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels, read_csv_rows, write_text
+from .schema import (
+    LABEL_SEP, ProfileSchema, build_intersection_labels, np, read_csv_rows, write_text,
+)
 
 NATS = "nats"
 BITS = "bits"

@@ -22,18 +22,28 @@ Binning conventions, fixed once here so results are reproducible:
 from __future__ import annotations
 
 import csv
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
 import yaml
 
 from .errors import ParseError, ValidationError
+
+# numpy loads on first attribute use, so commands that never touch an array
+# skip its import; a numpy already imported is the one bound
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"

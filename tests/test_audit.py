@@ -215,6 +215,32 @@ class TestEventValidation:
         assert type(AuditEvent(2, "t", "obs", 3, Decimal("0"), "linear").leakage_nats) is float
 
 
+class TestEventTuple:
+    """Events are immutable named tuples, checked however they are built."""
+
+    EVENT = AuditEvent(1, "t", "obs", 0.5, Decimal("1.0000"), "linear")
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.EVENT.sequence = 2
+        assert not hasattr(self.EVENT, "__dict__")
+
+    def test_equals_the_tuple_of_its_fields(self):
+        assert self.EVENT == (1, "t", "obs", 0.5, Decimal("1.0000"), "linear")
+
+    def test_replace_checks_and_normalises(self):
+        with pytest.raises(ValidationError, match="start at 1"):
+            self.EVENT._replace(sequence=0)
+        replaced = self.EVENT._replace(sequence=True, leakage_nats=2)
+        assert replaced == (1, "t", "obs", 2.0, Decimal("1.0000"), "linear")
+        assert type(replaced.leakage_nats) is float
+
+    def test_make_checks(self):
+        with pytest.raises(ValidationError, match="surcharge must be nonnegative"):
+            AuditEvent._make((1, "t", "obs", 0.5, Decimal("-1"), "linear"))
+        assert AuditEvent._make(self.EVENT) == self.EVENT
+
+
 class TestLedgerFile:
     def test_closed_round_trip(self, tmp_path):
         ledger = two_event_session()
@@ -230,6 +256,11 @@ class TestLedgerFile:
         back = read_ledger(path)
         assert back == ledger
         assert back.consent == CONSENT_PENDING
+
+    def test_read_events_are_audit_events(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(two_event_session(), path)
+        assert [type(e) for e in read_ledger(path).events] == [AuditEvent, AuditEvent]
 
     def test_file_layout(self, tmp_path):
         ledger = two_event_session()

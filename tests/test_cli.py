@@ -1014,6 +1014,83 @@ class TestNonFiniteMoney:
         assert f"{ledger}:2: malformed event" in result.stderr
 
 
+# one field of the demo ledger's header or first event, the JSON value of
+# another type put in its place, and the error that follows the ledger's path
+NON_STRING_LEDGER_FIELDS = {
+    "session": ('"c48ed29ce635f378"', "null",
+                ": malformed session header: session must be a string, got None"),
+    "timestamp": ('"2024-05-01T09:00:00+00:00"', "null",
+                  ":2: malformed event: timestamp must be a string, got None"),
+    "observable": ('"request timestamp"', "5",
+                   ":2: malformed event: observable must be a string, got 5"),
+    "rule": ('"linear"', '"exposure"',
+             ":2: malformed event: rule must be 'linear', got 'exposure'"),
+}
+
+
+class TestLedgerFieldTypes:
+    @pytest.mark.parametrize("field", sorted(NON_STRING_LEDGER_FIELDS))
+    def test_report_exits_2_naming_the_field(self, runner, tmp_path, field):
+        value, other, message = NON_STRING_LEDGER_FIELDS[field]
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(DEMO_LEDGER.replace(f'"{field}": {value}', f'"{field}": {other}', 1))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {ledger}{message}\n"
+
+
+# runs the CLI, then prints the numpy submodules loaded as its last stderr line
+LOADED_NUMPY = (
+    "import sys\n"
+    "from leakpricer.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    print(sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr)\n"
+)
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the package from ``src``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestLazyNumpy:
+    """numpy loads on first array use. Each case runs in a fresh interpreter:
+    this one imported numpy with the tests."""
+
+    @pytest.mark.parametrize("case, loads_numpy", [
+        ("report-text", False), ("report-machine", False), ("audit-text", False),
+        ("calibrate-machine", False), ("curve-exposure", False),
+        ("price-linear-machine", False), ("estimate-text", True), ("mi-text", True),
+    ])
+    def test_only_array_commands_load_numpy(self, data_dir, tmp_path, case, loads_numpy):
+        places = {"data": data_dir, "tmp": tmp_path, "ledger": tmp_path / "ledger.jsonl"}
+        places["ledger"].write_text(DEMO_LEDGER)
+        args, expected = DEMO_STDOUT[case]
+        result = run_python("-c", LOADED_NUMPY, *(arg.format(**places) for arg in args))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected
+        assert (result.stderr.splitlines()[-1] != "[]") == loads_numpy
+
+    @pytest.mark.parametrize("first", ["numpy", "leakpricer.schema"])
+    def test_one_numpy_whichever_is_imported_first(self, first):
+        script = (
+            f"import {first}\n"
+            "import sys, numpy, leakpricer.schema\n"
+            "assert leakpricer.schema.np is sys.modules['numpy'] is numpy\n"
+            "assert numpy.zeros(2).sum() == 0\n"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+
+
 WORKED_EXAMPLES_STDOUT = """
 single attribute: time of day vs sex
 ------------------------------------
@@ -1058,13 +1135,7 @@ class TestScripts:
     SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
     def run_script(self, name, *args):
-        src = str(self.SCRIPTS.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPTS / name), *map(str, args)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        return run_python(self.SCRIPTS / name, *args)
 
     def test_worked_examples_stdout(self):
         result = self.run_script("worked_examples.py")
