@@ -9,6 +9,8 @@ An append-only session ledger prices observation events as they happen
 and closes on an explicit consent decision.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audit import (
     CONSENT_DENIED,
     CONSENT_GRANTED,
@@ -54,8 +56,6 @@ from .infotheory import (
     marginal_mi,
     mutual_information,
     read_joint_table,
-    subset_key,
-    write_joint_table,
 )
 from .pricing import (
     EXPOSURE,
@@ -88,69 +88,8 @@ from .schema import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeSpec",
-    "AuditEvent",
-    "BITS",
-    "Bandwidth",
-    "BinRule",
-    "CONSENT_DENIED",
-    "CONSENT_GRANTED",
-    "CONSENT_PENDING",
-    "DISCLAIMER",
-    "EXPOSURE",
-    "EstimationError",
-    "InfoQuantity",
-    "JointTable",
-    "KDE_MC",
-    "LINEAR",
-    "LN2",
-    "LeakPricerError",
-    "MIEstimate",
-    "MONEY_QUANTUM",
-    "NATS",
-    "PLUGIN",
-    "ParseError",
-    "PriceQuote",
-    "PricingPolicy",
-    "ProfileSchema",
-    "SampleSet",
-    "SessionLedger",
-    "SessionReport",
-    "ValidationError",
-    "WEIGHTED",
-    "build_intersection_labels",
-    "build_report",
-    "calibrate_lambda",
-    "close_session",
-    "conditional_entropy",
-    "convert_lambda",
-    "discretize",
-    "empirical_joint",
-    "entropy",
-    "estimate_mi",
-    "exposure_ratio",
-    "intersection_leakage_report",
-    "kde_log_densities",
-    "load_policy",
-    "load_samples",
-    "load_schema",
-    "marginal_mi",
-    "mc_mutual_information",
-    "mutual_information",
-    "open_session",
-    "price_curve",
-    "price_exposure",
-    "price_linear",
-    "price_weighted",
-    "quantize_money",
-    "read_joint_table",
-    "read_ledger",
-    "record_event",
-    "samples_to_csv",
-    "silverman_bandwidth",
-    "subset_key",
-    "to_decimal",
-    "write_joint_table",
-    "write_ledger",
-]
+# the import block above is the one list of the public surface
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

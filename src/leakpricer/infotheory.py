@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .schema import (
-    LABEL_SEP, ProfileSchema, build_intersection_labels, np, read_csv_rows, write_text,
-)
+from .schema import LABEL_SEP, ProfileSchema, build_intersection_labels, np, read_csv_rows
 
 NATS = "nats"
 BITS = "bits"
@@ -302,12 +300,6 @@ def marginal_mi(joint: JointTable, schema: ProfileSchema, subset) -> InfoQuantit
     return _subset_mi(_attribute_tensor(joint, schema), indices)
 
 
-def subset_key(schema: ProfileSchema, subset) -> str:
-    """Canonical name for an attribute subset: names joined with ``+``."""
-    indices = _subset_indices(schema, subset)
-    return LABEL_SEP.join(schema.attributes[i].name for i in indices)
-
-
 def intersection_leakage_report(
     joint: JointTable, schema: ProfileSchema
 ) -> dict[str, InfoQuantity]:
@@ -359,9 +351,3 @@ def read_joint_table(path) -> JointTable:
         raise ParseError(f"{p}: joint-table file has no data rows")
     return JointTable(tuple(x_levels), s_levels, np.array(matrix))
 
-
-def write_joint_table(table: JointTable, path) -> None:
-    lines = ["x," + ",".join(table.s_levels)]
-    for label, row in zip(table.x_levels, table.probabilities):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    write_text(path, "\n".join(lines) + "\n")

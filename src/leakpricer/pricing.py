@@ -76,6 +76,7 @@ class PricingPolicy:
     ``subset_rates_per_nat`` (weighted rule, keyed by subset name such
     as ``"sex+disability"``) may be set; ``max_penalty`` is the
     statutory ceiling used by the exposure rule and calibration.
+    ``currency`` must be a string that is not blank.
     """
 
     production_cost: Decimal
@@ -120,6 +121,8 @@ class PricingPolicy:
             raise ValidationError(
                 "policy needs a rate, per-subset rates, or a maximum penalty"
             )
+        if not isinstance(self.currency, str) or not self.currency.strip():
+            raise ValidationError(f"currency must be a non-blank string, got {self.currency!r}")
 
 
 @dataclass(frozen=True)
@@ -388,5 +391,5 @@ def load_policy(path) -> PricingPolicy:
         rate_per_nat=rate,
         subset_rates_per_nat=subset_rates,
         max_penalty=doc.get("pi_max"),
-        currency=str(doc.get("currency", "USD")),
+        currency=doc.get("currency", "USD"),
     )

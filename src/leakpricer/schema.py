@@ -289,11 +289,17 @@ def _check_value(spec: AttributeSpec, value, where: str) -> None:
 def discretize(samples: SampleSet, rules: Mapping[str, BinRule]) -> SampleSet:
     """Replace every continuous attribute with the categorical bins of its rule.
 
-    Deterministic: the same samples and rules always give the same
-    binning, and both sample count and row order are preserved.
+    A rule for any other name is rejected. Deterministic: the same samples
+    and rules always give the same binning, and both sample count and row
+    order are preserved.
     """
     schema = samples.schema
     continuous = schema.continuous_columns
+    stray = sorted(set(rules) - {spec.name for spec in continuous})
+    if stray:
+        raise ValidationError(
+            f"binning rule given for {stray[0]!r}, which is not a continuous attribute"
+        )
     missing = [spec.name for spec in continuous if spec.name not in rules]
     if missing:
         raise ValidationError(

@@ -221,6 +221,19 @@ class TestDiscretizeCommand:
                  "--bins", "keystroke_interval=equal-width:3")
         assert out.startswith("sex,impairment,keystroke_interval\n")
 
+    @pytest.mark.parametrize("name", ["typo", "sex"])
+    def test_rule_for_a_non_continuous_name_exits_3(self, runner, data_dir, name):
+        result = invoke(runner, "discretize",
+                        "--schema", data_dir / "keystroke_schema.yaml",
+                        "--samples", data_dir / "keystrokes.csv",
+                        "--bins", "impairment=equal-width:4",
+                        "--bins", "keystroke_interval=quantile:2",
+                        "--bins", f"{name}=quantile:3")
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"error: binning rule given for {name!r}, which is not a continuous attribute\n"
+        )
+
     def test_bad_bins_flag(self, runner, data_dir):
         result = invoke(runner, "discretize",
                         "--schema", data_dir / "keystroke_schema.yaml",
@@ -284,6 +297,13 @@ class TestPriceCommand:
         )
         full = oracles.mi_nats(oracles.INTERSECT_TABLE)
         assert json.loads(out)["subsets"]["sex+disability"] == pytest.approx(full, rel=1e-12)
+
+    def test_null_currency_exits_3(self, runner, tmp_path):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("c_p: 0.001\nlambda: 10000\ncurrency: null\n")
+        result = invoke(runner, "price", "--policy", policy, "--leakage", "0.036")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: currency must be a non-blank string, got None\n"
 
     def test_linear_requires_leakage(self, runner, data_dir):
         result = invoke(runner, "price", "--policy", data_dir / "policy_linear.yaml")
@@ -1038,6 +1058,18 @@ class TestLedgerFieldTypes:
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {ledger}{message}\n"
 
+    @pytest.mark.parametrize("value, shown", [
+        ("5", "5"), ("null", "None"), ('["x"]', "['x']"), ('""', "''"),
+    ])
+    def test_non_string_currency_exits_3_naming_the_header(self, runner, tmp_path, value, shown):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(DEMO_LEDGER.replace('"currency": "USD"', f'"currency": {value}', 1))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            f"error: {ledger}:1: currency must be a non-blank string, got {shown}\n"
+        )
+
 
 # runs the CLI, then prints the numpy submodules loaded as its last stderr line
 LOADED_NUMPY = (
@@ -1150,4 +1182,22 @@ class TestScripts:
                          "linear_94339.csv"]
         assert (tmp_path / "exposure.csv").read_text().splitlines()[-1] == (
             "5.300000,500000.0010"
+        )
+
+    def test_make_demo_data_reproduces_the_bundled_sample(self, data_dir, tmp_path):
+        out = tmp_path / "keystrokes.csv"
+        result = self.run_script("make_demo_data.py", "--out", out)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote 300 rows to {out}\n"
+        assert out.read_bytes() == (data_dir / "keystrokes.csv").read_bytes()
+
+    def test_estimator_convergence_stdout(self):
+        result = self.run_script("estimator_convergence.py", "--sizes", "200", "500",
+                                 "--seeds", "1")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "true leakage: 0.5108 nats (rho = 0.8)\n"
+            "     n   mean estimate   mean abs error\n"
+            "   200          0.4873           0.0235\n"
+            "   500          0.5225           0.0117\n"
         )

@@ -507,3 +507,13 @@ class TestPolicyFile:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ValidationError, match="mapping"):
             load_policy(path)
+
+    @pytest.mark.parametrize("value, shown", [
+        ("null", "None"), ("5", "5"), ("[x]", "['x']"), ('""', "''"), ("' '", "' '"),
+    ])
+    def test_currency_must_be_a_non_blank_string(self, tmp_path, value, shown):
+        path = tmp_path / "policy.yaml"
+        path.write_text(f"c_p: 0.1\nlambda: 1\ncurrency: {value}\n")
+        with pytest.raises(ValidationError) as raised:
+            load_policy(path)
+        assert str(raised.value) == f"currency must be a non-blank string, got {shown}"

@@ -531,6 +531,16 @@ class TestDiscretize:
         with pytest.raises(ValidationError, match="no binning rule"):
             discretize(samples, {})
 
+    @pytest.mark.parametrize("name", ["typo", "group"])
+    def test_rule_for_a_non_continuous_name_rejected(self, name):
+        samples = SampleSet(_continuous_schema(), (("a", 0.5),))
+        rules = {"score": BinRule.equal_width(2), name: BinRule.quantile(2)}
+        with pytest.raises(ValidationError) as raised:
+            discretize(samples, rules)
+        assert str(raised.value) == (
+            f"binning rule given for {name!r}, which is not a continuous attribute"
+        )
+
     def test_rule_needs_two_bins(self):
         with pytest.raises(ValidationError, match="at least 2 bins"):
             BinRule.equal_width(1)
