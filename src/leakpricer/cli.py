@@ -229,7 +229,7 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
     """Price an observable: production cost plus leakage surcharge."""
     policy = pricing.load_policy(policy_path)
     rule = rule or _infer_rule(policy)
-    subset_report = None
+    subsets = {}
     if rule == LINEAR:
         if leakage is None:
             raise ValidationError("linear pricing needs --leakage")
@@ -243,8 +243,13 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
             raise ValidationError("weighted pricing needs --table and --schema")
         schema = schema_lib.load_schema(schema_path)
         table = infotheory.read_joint_table(table_path)
-        subset_report = infotheory.intersection_leakage_report(table, schema)
-        quote = pricing.price_weighted(policy, subset_report)
+        position = {a.name: i for i, a in enumerate(schema.attributes)}
+        # names in schema order; price_weighted refuses other keys and a scalar policy
+        for key in policy.subset_rates_per_nat or ():
+            indices = [position.get(name, -1) for name in key.split(schema_lib.LABEL_SEP)]
+            if indices[0] >= 0 and indices == sorted(set(indices)):
+                subsets[key] = infotheory.marginal_mi(table, schema, indices)
+        quote = pricing.price_weighted(policy, subsets)
     shown = quote.leakage.to(unit)
     money = {
         "production": _fmt_money(quote.production_component),
@@ -260,19 +265,14 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
             **money,
             "currency": quote.currency,
         }
-        if subset_report is not None:
-            doc["subsets"] = {
-                key: subset_report[key].in_nats()
-                for key in policy.subset_rates_per_nat
-            }
+        if subsets:
+            doc["subsets"] = {key: value.in_nats() for key, value in subsets.items()}
         _emit(doc)
         return
     # one echo of lines formatted in full, so a money error leaves stdout empty
     lines = [f"rule = {quote.rule}"]
-    if subset_report is not None:
-        for key in policy.subset_rates_per_nat:
-            value = subset_report[key].to(unit)
-            lines.append(f"leakage[{key}] = {_fmt_info(value.value)} {unit}")
+    for key, value in subsets.items():
+        lines.append(f"leakage[{key}] = {_fmt_info(value.to(unit).value)} {unit}")
     lines.append(f"leakage = {_fmt_info(shown.value)} {unit}")
     lines += [f"{name} = {amount} {quote.currency}" for name, amount in money.items()]
     click.echo("\n".join(lines))
@@ -289,9 +289,9 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
 @_handle_errors
 def calibrate(pi_max, entropy_value, unit, currency, fmt):
     """Rate per nat that reaches the maximum penalty at full disclosure."""
-    rate = pricing.calibrate_lambda(
-        pricing.to_decimal(pi_max), InfoQuantity(entropy_value, unit)
-    )
+    # the policy of this ceiling and currency runs the checks every policy gets
+    ceiling = pricing.PricingPolicy(0, max_penalty=pi_max, currency=currency).max_penalty
+    rate = pricing.calibrate_lambda(ceiling, InfoQuantity(entropy_value, unit))
     if fmt == "machine":
         _emit({"lambda_per_nat": rate, "currency": currency})
     else:

@@ -386,10 +386,13 @@ def load_policy(path) -> PricingPolicy:
         }
     elif raw_rate is not None:
         rate = _number(raw_rate, "lambda") * scale
-    return PricingPolicy(
-        production_cost=doc["c_p"],
-        rate_per_nat=rate,
-        subset_rates_per_nat=subset_rates,
-        max_penalty=doc.get("pi_max"),
-        currency=doc.get("currency", "USD"),
-    )
+    try:
+        return PricingPolicy(
+            production_cost=doc["c_p"],
+            rate_per_nat=rate,
+            subset_rates_per_nat=subset_rates,
+            max_penalty=doc.get("pi_max"),
+            currency=doc.get("currency", "USD"),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

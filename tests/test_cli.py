@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from leakpricer import (
     ParseError,
     ProfileSchema,
     ValidationError,
+    intersection_leakage_report,
     load_policy,
     load_samples,
     load_schema,
@@ -104,6 +106,16 @@ class TestInfoCommands:
                "--unit", "bits", "--format", "machine")
         )
         assert doc["lambda_per_nat"] == pytest.approx(100.0 / LN2, rel=1e-12)
+
+    @pytest.mark.parametrize("currency", ["", " "])
+    def test_calibrate_blank_currency_exits_3(self, runner, currency):
+        result = invoke(runner, "calibrate", "--pi-max", "500000", "--entropy", "1",
+                        "--currency", currency)
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: currency must be a non-blank string, got {currency!r}\n"
+        )
 
 
 class TestEstimateCommand:
@@ -303,7 +315,74 @@ class TestPriceCommand:
         policy.write_text("c_p: 0.001\nlambda: 10000\ncurrency: null\n")
         result = invoke(runner, "price", "--policy", policy, "--leakage", "0.036")
         assert result.exit_code == 3, result.output
-        assert result.stderr == "error: currency must be a non-blank string, got None\n"
+        assert result.stderr == (
+            f"error: {policy}: currency must be a non-blank string, got None\n"
+        )
+
+    def test_negative_production_cost_names_the_policy(self, runner, tmp_path):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("c_p: -1\nlambda: 10000\n")
+        result = invoke(runner, "price", "--policy", policy, "--leakage", "0.036")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {policy}: production cost must be nonnegative\n"
+
+    def test_weighted_rule_with_a_scalar_policy_exits_3(self, runner, data_dir):
+        result = invoke(runner, "price", "--policy", data_dir / "policy_linear.yaml",
+                        "--rule", "weighted",
+                        "--table", data_dir / "timeofday_sex_disability.csv",
+                        "--schema", data_dir / "profile_schema.yaml")
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: weighted pricing needs per-subset rates in the policy\n"
+
+    # an unknown name, names out of schema order, a repeated name, an empty name
+    @pytest.mark.parametrize("key", ["ethnicity", "disability+sex", "sex+sex", "sex+"])
+    def test_unresolvable_subset_key_exits_3(self, runner, data_dir, tmp_path, key):
+        policy = tmp_path / "policy.yaml"
+        policy.write_text(yaml.safe_dump({"c_p": 0.001, "lambda": {"sex": 1000, key: 10}}))
+        result = invoke(runner, "price", "--policy", policy,
+                        "--table", data_dir / "timeofday_sex_disability.csv",
+                        "--schema", data_dir / "profile_schema.yaml")
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: no leakage entry for priced subset {key!r}\n"
+
+    def test_fourteen_attributes_price_against_the_oracle(self, runner, tmp_path):
+        # the full report stops at 12 attributes; price computes the priced subsets alone
+        m = 14
+        names = [f"a{i}" for i in range(m)]
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(yaml.safe_dump({
+            "attributes": [{"name": n, "kind": "categorical", "levels": ["0", "1"]}
+                           for n in names],
+            "observable": {"name": "x", "kind": "categorical", "levels": ["l", "r"]},
+        }))
+        combos = list(itertools.product("01", repeat=m))
+        raw = np.random.default_rng(14).random((2, len(combos)))
+        cells = (raw / raw.sum()).tolist()
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(
+            ["x," + ",".join("+".join(c) for c in combos)]
+            + [f"{x}," + ",".join(repr(v) for v in row) for x, row in zip("lr", cells)]
+        ) + "\n")
+        priced = [[3], [0, 13], [2, 5, 11], list(range(m))]
+        policy = tmp_path / "policy.yaml"
+        policy.write_text(yaml.safe_dump({
+            "c_p": 0.001, "lambda": {"+".join(names[i] for i in kept): 100 for kept in priced},
+        }, sort_keys=False))
+        out = ok(runner, "price", "--policy", policy, "--table", table, "--schema", schema)
+        shown = [line for line in out.splitlines() if line.startswith("leakage[")]
+        expected = []
+        for kept in priced:
+            groups = {}
+            for j, combo in enumerate(combos):
+                groups.setdefault(tuple(combo[i] for i in kept), []).append(j)
+            mi = oracles.mi_nats(oracles.collapse_columns(cells, list(groups.values())))
+            key = "+".join(names[i] for i in kept)
+            expected.append(f"leakage[{key}] = {mi:.6f} nats")
+        assert shown == expected
+        with pytest.raises(ValidationError, match="refusing m=14"):
+            intersection_leakage_report(read_joint_table(table), load_schema(schema))
 
     def test_linear_requires_leakage(self, runner, data_dir):
         result = invoke(runner, "price", "--policy", data_dir / "policy_linear.yaml")

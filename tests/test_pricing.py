@@ -516,4 +516,4 @@ class TestPolicyFile:
         path.write_text(f"c_p: 0.1\nlambda: 1\ncurrency: {value}\n")
         with pytest.raises(ValidationError) as raised:
             load_policy(path)
-        assert str(raised.value) == f"currency must be a non-blank string, got {shown}"
+        assert str(raised.value) == f"{path}: currency must be a non-blank string, got {shown}"

@@ -16,7 +16,10 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from leakpricer import NATS, InfoQuantity, PricingPolicy, audit
+from click.testing import CliRunner
+
+from leakpricer import NATS, InfoQuantity, PricingPolicy, audit, infotheory
+from leakpricer.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +48,27 @@ def test_record_event_prices_through_the_audit_binding(monkeypatch):
     for _ in range(3):
         audit.record_event(ledger, "obs", InfoQuantity(0.5, NATS), timestamp="t")
     assert calls == [Decimal("1.0")] * 3
+
+
+def test_weighted_price_computes_each_priced_subset_through_the_marginal_mi_binding(
+    monkeypatch,
+):
+    subsets, reports = [], []
+    marginal_mi = infotheory.marginal_mi
+    monkeypatch.setattr(
+        infotheory,
+        "marginal_mi",
+        lambda joint, schema, subset: subsets.append(subset) or marginal_mi(joint, schema, subset),
+    )
+    monkeypatch.setattr(
+        infotheory, "intersection_leakage_report", lambda *args: reports.append(args)
+    )
+    data = ROOT / "data"
+    result = CliRunner().invoke(main, [
+        "price", "--policy", str(data / "policy_weighted.yaml"),
+        "--table", str(data / "timeofday_sex_disability.csv"),
+        "--schema", str(data / "profile_schema.yaml"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert subsets == [[0], [1], [0, 1]]
+    assert reports == []
