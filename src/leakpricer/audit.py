@@ -22,10 +22,11 @@ import uuid
 from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
@@ -70,6 +71,28 @@ class AuditEvent(
         return tuple.__new__(cls, (sequence, timestamp, observable, leakage_nats, surcharge, rule))
 
 
+def tally(events) -> tuple[int, float, Decimal]:
+    """Count, total leakage in nats and total surcharge of events, summed
+    left to right as they pass: the fixed order keeps the float sum reproducible."""
+    count, nats, surcharge = 0, 0.0, Decimal("0.0000")
+    for count, event in enumerate(events, start=1):
+        nats += event.leakage_nats
+        surcharge += event.surcharge
+    return count, nats, surcharge
+
+
+def ledger_line(e: AuditEvent) -> str:
+    """An event's ledger line: what json.dumps writes for its fields."""
+    return (f'{{"sequence": {e.sequence}, "timestamp": {_quote(e.timestamp)}, '
+            f'"observable": {_quote(e.observable)}, "leakage_nats": {e.leakage_nats!r}, '
+            f'"surcharge": {_quote(str(e.surcharge))}, "rule": {_quote(e.rule)}}}\n')
+
+
+def report_row(e: AuditEvent) -> str:
+    """An event's row in the rendered report."""
+    return "  %3d  %-25s  %-20s  %14.6f  %10s\n" % e[:5]
+
+
 @dataclass
 class SessionLedger:
     """Ordered events under a frozen policy, with a consent state.
@@ -88,20 +111,20 @@ class SessionLedger:
         """The policy rate as a Decimal, converted once per session, not per event."""
         return to_decimal(self.policy.rate_per_nat)
 
+    def priced_event(self, sequence: int, timestamp: str, observable: str,
+                     nats: float) -> AuditEvent:
+        """An event of this session, checked, its surcharge the policy rate times
+        the leakage in nats quantized onto the money grid; it is not appended."""
+        return AuditEvent(sequence, timestamp, observable, nats,
+                          quantize_money(_linear_surcharge(self._rate, nats)), LINEAR)
+
     @property
     def total_leakage_nats(self) -> float:
-        # fixed left-to-right order keeps the float sum reproducible
-        total = 0.0
-        for event in self.events:
-            total += event.leakage_nats
-        return total
+        return tally(self.events)[1]
 
     @property
     def total_surcharge(self) -> Decimal:
-        total = Decimal("0.0000")
-        for event in self.events:
-            total += event.surcharge
-        return total
+        return tally(self.events)[2]
 
     @property
     def grand_total(self) -> Decimal:
@@ -128,24 +151,16 @@ def record_event(
     leakage: InfoQuantity,
     timestamp: str | None = None,
 ) -> AuditEvent:
-    """Append one observation event and return it.
-
-    The surcharge is the policy rate times the leakage in nats,
-    quantized onto the money grid at recording time.
-    """
+    """Append one observation event, priced at recording time, and return it."""
     if ledger.consent != CONSENT_PENDING:
         raise ValidationError(
             f"session is closed ({ledger.consent}); no further events"
         )
-    nats = leakage.in_nats()
-    surcharge = quantize_money(_linear_surcharge(ledger._rate, nats))
-    event = AuditEvent(
-        sequence=len(ledger.events) + 1,
-        timestamp=datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp,
-        observable=str(observable),
-        leakage_nats=nats,
-        surcharge=surcharge,
-        rule=LINEAR,
+    event = ledger.priced_event(
+        len(ledger.events) + 1,
+        datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp,
+        str(observable),
+        leakage.in_nats(),
     )
     ledger.events.append(event)
     return event
@@ -167,42 +182,45 @@ class SessionReport:
 
     def render(self) -> str:
         """Human-readable summary; deterministic for identical reports."""
-        lines = [
-            f"session {self.session_id}",
-            f"decision: {self.decision}",
-            "",
-            "  seq  timestamp                  observable            "
-            "leakage (nats)  surcharge",
-        ]
-        lines += ["  %3d  %-25s  %-20s  %14.6f  %10s" % (
-            e.sequence, e.timestamp, e.observable, e.leakage_nats, e.surcharge
-        ) for e in self.events]
+        return "".join(self.render_pieces(map(report_row, self.events)))
+
+    def render_pieces(self, rows):
+        """Yield the rendered summary in pieces, each ending a line, with
+        ``rows`` (strings of whole report rows) as its event rows."""
+        yield (f"session {self.session_id}\ndecision: {self.decision}\n\n"
+               "  seq  timestamp                  observable            "
+               "leakage (nats)  surcharge\n")
+        yield from rows
         nats = self.total_leakage.in_nats()
         bits = self.total_leakage.in_bits()
-        lines += [
-            "",
-            f"total leakage:   {nats:.6f} nats ({bits:.6f} bits)",
-            f"production cost: {quantize_money(self.production_cost)} {self.currency}",
-            f"total surcharge: {self.total_surcharge} {self.currency}",
-            f"grand total:     {quantize_money(self.grand_total)} {self.currency}",
-            self.disclaimer,
-        ]
-        return "\n".join(lines) + "\n"
+        yield (f"\ntotal leakage:   {nats:.6f} nats ({bits:.6f} bits)\n"
+               f"production cost: {quantize_money(self.production_cost)} {self.currency}\n"
+               f"total surcharge: {self.total_surcharge} {self.currency}\n"
+               f"grand total:     {quantize_money(self.grand_total)} {self.currency}\n"
+               f"{self.disclaimer}\n")
 
 
 def build_report(ledger: SessionLedger) -> SessionReport:
     """Summarize a closed ledger; open sessions have nothing to report."""
+    _, nats, surcharge = tally(ledger.events)
+    return summarize(ledger, nats, surcharge, tuple(ledger.events))
+
+
+def summarize(ledger: SessionLedger, nats: float, surcharge: Decimal,
+              events: tuple[AuditEvent, ...] = ()) -> SessionReport:
+    """The report of a closed ledger from the totals of its events, holding
+    ``events``; open sessions have nothing to report."""
     if ledger.consent == CONSENT_PENDING:
         raise ValidationError("session is still open; close it before reporting")
     return SessionReport(
         session_id=ledger.session_id,
         decision=ledger.consent,
         currency=ledger.policy.currency,
-        events=tuple(ledger.events),
-        total_leakage=InfoQuantity(ledger.total_leakage_nats, NATS),
+        events=events,
+        total_leakage=InfoQuantity(nats, NATS),
         production_cost=ledger.policy.production_cost,
-        total_surcharge=ledger.total_surcharge,
-        grand_total=ledger.grand_total,
+        total_surcharge=surcharge,
+        grand_total=ledger.policy.production_cost + surcharge,
     )
 
 
@@ -238,28 +256,38 @@ def _policy_payload(policy: PricingPolicy) -> dict:
 
 def write_ledger(ledger: SessionLedger, path) -> None:
     """Serialize header, events in order, and the closure line if closed."""
+    _, nats, surcharge = tally(ledger.events)
+    write_text(path, ledger_text(ledger, map(ledger_line, ledger.events), nats, surcharge))
+
+
+def ledger_text(ledger: SessionLedger, lines, nats: float, surcharge: Decimal):
+    """Yield a ledger file in pieces: the header, ``lines`` (the event lines),
+    and the closure line of these totals once the session is decided."""
     header = {"session": ledger.session_id, "policy": _policy_payload(ledger.policy),
               "consent": ledger.consent}
-    lines = [json.dumps(header)]
-    # each event line is what json.dumps writes for these fields; an f-string,
-    # unlike %, sizes each line exactly, which keeps the peak memory down
-    lines += [f'{{"sequence": {e.sequence}, "timestamp": {_quote(e.timestamp)}, '
-              f'"observable": {_quote(e.observable)}, "leakage_nats": {e.leakage_nats!r}, '
-              f'"surcharge": {_quote(str(e.surcharge))}, "rule": {_quote(e.rule)}}}'
-              for e in ledger.events]
+    yield json.dumps(header) + "\n"
+    yield from lines
     if ledger.consent != CONSENT_PENDING:
         closure = {
             "decision": ledger.consent,
-            "total_leakage_nats": ledger.total_leakage_nats,
-            "total_surcharge": str(ledger.total_surcharge),
-            "grand_total": str(quantize_money(ledger.grand_total)),
+            "total_leakage_nats": nats,
+            "total_surcharge": str(surcharge),
+            "grand_total": str(quantize_money(ledger.policy.production_cost + surcharge)),
         }
-        lines.append(json.dumps(closure))
-    write_text(path, "\n".join(lines) + "\n")
+        yield json.dumps(closure) + "\n"
 
 
 def read_ledger(path) -> SessionLedger:
     """Rebuild a ledger from its file; round-trips :func:`write_ledger`."""
+    ledger, events = iter_ledger(path)
+    ledger.events.extend(events)
+    return ledger
+
+
+def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
+    """Read a ledger file's header into a ledger with no events, and return
+    it with an iterator that reads, checks and yields the events in order,
+    then checks the closure line."""
     p = Path(path)
     records = read_json_lines(p, "ledger")
     header_lineno, header = next(records, (None, None))
@@ -286,8 +314,12 @@ def read_ledger(path) -> SessionLedger:
     consent = header.get("consent", CONSENT_PENDING)
     if consent not in (CONSENT_PENDING, *_DECISIONS):
         raise ParseError(f"{p}: unknown consent state {consent!r}")
-    events: list[AuditEvent] = []
+    return SessionLedger(header["session"], policy, consent), _ledger_events(p, records, consent)
+
+
+def _ledger_events(p: Path, records, consent: str) -> Iterator[AuditEvent]:
     closure = None
+    sequence = 0
     for lineno, record in records:
         if "decision" in record:
             if closure is not None:
@@ -303,25 +335,28 @@ def read_ledger(path) -> SessionLedger:
                 raise TypeError(f"{key} must be a string, got {record[key]!r}")
             if record["rule"] != LINEAR:
                 raise ValueError(f"rule must be {LINEAR!r}, got {record['rule']!r}")
+            nats, surcharge = record["leakage_nats"], record["surcharge"]
+            if type(nats) not in (int, float):
+                raise TypeError(f"leakage_nats must be a number, got {nats!r}")
             event = AuditEvent(
                 sequence=record["sequence"],  # AuditEvent takes an exact integer only
                 timestamp=timestamp,
                 observable=observable,
-                leakage_nats=float(record["leakage_nats"]),
-                # a JSON number is read by its shortest repr, as header money is
-                surcharge=to_decimal(Decimal(str(record["surcharge"]))),
+                leakage_nats=float(nats),
+                surcharge=to_decimal(_ledger_money(surcharge)),
                 rule=LINEAR,
             )
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"{p}:{lineno}: malformed event: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
-        if event.sequence != len(events) + 1:
+        sequence += 1
+        if event.sequence != sequence:
             raise ParseError(
                 f"{p}:{lineno}: event sequence {event.sequence} breaks the "
                 f"dense 1..n order"
             )
-        events.append(event)
+        yield event
     if closure is not None:
         lineno, record = closure
         if record.get("decision") != consent:
@@ -331,9 +366,13 @@ def read_ledger(path) -> SessionLedger:
             )
     elif consent != CONSENT_PENDING:
         raise ParseError(f"{p}: consent is {consent!r} but no closure line found")
-    return SessionLedger(
-        session_id=header["session"],
-        policy=policy,
-        consent=consent,
-        events=events,
-    )
+
+
+def _ledger_money(value) -> Decimal:
+    """A ledger surcharge: a decimal string, or a JSON number read by its shortest repr."""
+    if type(value) in (str, int, float):
+        try:
+            return Decimal(str(value))
+        except InvalidOperation:
+            pass
+    raise ValueError(f"surcharge must be a decimal string or number, got {value!r}")

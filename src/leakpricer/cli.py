@@ -325,8 +325,9 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
         click.echo(text, nl=False)
 
 
-def _read_event_stream(path, ledger) -> str | None:
-    """Record each event into the ledger as it is parsed; return the decision or None.
+def _priced_events(path, ledger):
+    """Yield each event of an event-stream file, priced at the ledger's rate, as
+    it is parsed; the decision line closes the ledger.
 
     Line format: ``{"observable": ..., "leakage": ..., "unit": ...,
     "timestamp": ...}`` with unit and timestamp optional, or
@@ -334,20 +335,20 @@ def _read_event_stream(path, ledger) -> str | None:
     further event may appear.
     """
     p = Path(path)
-    decision = None
+    sequence = 0
     for lineno, record in schema_lib.read_json_lines(p, "event"):
         if "decision" in record:
             schema_lib.check_keys(record, {"decision"}, f"{p}:{lineno}", "decision-line")
-            if decision is not None:
+            if ledger.consent != audit_lib.CONSENT_PENDING:
                 raise ValidationError(f"{p}:{lineno}: duplicate decision line")
             if record["decision"] not in (audit_lib.CONSENT_GRANTED, audit_lib.CONSENT_DENIED):
                 raise ValidationError(
                     f"{p}:{lineno}: decision must be granted or denied, "
                     f"got {record['decision']!r}"
                 )
-            decision = record["decision"]
+            ledger.consent = record["decision"]
             continue
-        if decision is not None:
+        if ledger.consent != audit_lib.CONSENT_PENDING:
             raise ValidationError(f"{p}:{lineno}: event after the decision line")
         if not record.keys() <= _EVENT_KEYS:
             schema_lib.check_keys(record, _EVENT_KEYS, f"{p}:{lineno}", "event")
@@ -369,28 +370,42 @@ def _read_event_stream(path, ledger) -> str | None:
             raise ValidationError(
                 f"{p}:{lineno}: event {key!r} must be a string, got {record[key]!r}"
             )
+        sequence += 1
         try:
-            audit_lib.record_event(
-                ledger,
-                observable,
-                InfoQuantity(amount, record.get("unit", NATS)),
-                timestamp=timestamp,
-            )
+            nats = InfoQuantity(amount, record.get("unit", NATS)).in_nats()
+            event = ledger.priced_event(sequence, timestamp, observable, nats)
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
-    return decision
+        yield event
 
 
 def _content_session_id(*paths, decision: str | None = None) -> str:
     digest = hashlib.sha256()
     for path in paths:
-        # the reader yields lines with their endings, so this hashes the file's bytes
-        for line in schema_lib.read_lines(path):
-            digest.update(line.encode("utf-8"))
+        for chunk in schema_lib.read_chunks(path):
+            digest.update(chunk)
         digest.update(b"\x00")
     if decision is not None:  # without the flag, ids stay those of the files alone
         digest.update(f"--decision={decision}".encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+def _spool():
+    """An unnamed file in the system temporary directory, gone once closed,
+    that holds any str: rows and lines wait there until they can be output."""
+    import tempfile
+
+    return tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
+
+
+def _spooled(events, rows, lines=None):
+    """Write each event's report row, and its ledger line if ``lines`` is
+    given, to those spools as the event passes."""
+    for event in events:
+        rows.write(audit_lib.report_row(event))
+        if lines is not None:
+            lines.write(audit_lib.ledger_line(event))
+        yield event
 
 
 @main.command(name="audit")
@@ -409,37 +424,40 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     ledger = audit_lib.open_session(
         policy, session_id or _content_session_id(policy_path, events_path, decision=decision)
     )
-    stream_decision = _read_event_stream(events_path, ledger)
-    if stream_decision is not None and decision is not None:
-        raise ValidationError(
-            "decision given twice: in the stream and as --decision"
-        )
-    final = stream_decision or decision
-    if final is None:
-        raise ValidationError(
-            "the stream carries no decision line; pass --decision"
-        )
-    report = audit_lib.close_session(ledger, final)
-    # recompute through the pricing layer; rounding drift is bounded by
-    # half a minor unit per recorded event
-    single_shot = pricing.price_linear(policy, report.total_leakage)
-    drift_bound = MONEY_QUANTUM * Decimal(len(ledger.events) + 1) / 2
-    if abs(report.grand_total - single_shot.total) > drift_bound:
-        raise ValidationError(
-            f"ledger total {report.grand_total} drifted from single-shot "
-            f"pricing {single_shot.total} beyond {drift_bound}"
-        )
-    audit_lib.write_ledger(ledger, ledger_path)
-    _print_report(report, fmt)
+    # one pass in memory that does not grow with the stream: each event's ledger
+    # line and report row are spooled; the header needs the final consent
+    with _spool() as lines, _spool() as rows:
+        events = _spooled(_priced_events(events_path, ledger), rows, lines)
+        count, nats, surcharge = audit_lib.tally(events)
+        if decision is not None:
+            if ledger.consent != audit_lib.CONSENT_PENDING:
+                raise ValidationError("decision given twice: in the stream and as --decision")
+            ledger.consent = decision
+        elif ledger.consent == audit_lib.CONSENT_PENDING:
+            raise ValidationError("the stream carries no decision line; pass --decision")
+        report = audit_lib.summarize(ledger, nats, surcharge)
+        # recompute through the pricing layer; rounding drift is bounded by
+        # half a minor unit per recorded event
+        single_shot = pricing.price_linear(policy, report.total_leakage)
+        drift_bound = MONEY_QUANTUM * Decimal(count + 1) / 2
+        if abs(report.grand_total - single_shot.total) > drift_bound:
+            raise ValidationError(
+                f"ledger total {report.grand_total} drifted from single-shot "
+                f"pricing {single_shot.total} beyond {drift_bound}"
+            )
+        lines.seek(0)
+        schema_lib.write_text(ledger_path, audit_lib.ledger_text(ledger, lines, nats, surcharge))
+        _print_report(report, count, rows, fmt)
 
 
-def _print_report(report, fmt):
+def _print_report(report, count, rows, fmt):
+    """Print the report of ``count`` events whose rows are spooled in ``rows``."""
     if fmt == "machine":
         _emit(
             {
                 "session": report.session_id,
                 "decision": report.decision,
-                "events": len(report.events),
+                "events": count,
                 "total_leakage_nats": report.total_leakage.in_nats(),
                 "production_cost": _fmt_money(report.production_cost),
                 "total_surcharge": str(report.total_surcharge),
@@ -448,8 +466,17 @@ def _print_report(report, fmt):
                 "disclaimer": report.disclaimer,
             }
         )
-    else:
-        click.echo(report.render(), nl=False)
+        return
+    rows.seek(0)
+    # whole lines at a time, so no escape sequence that click strips is split,
+    # and at least 64k characters an echo, so a short report is one write
+    text = ""
+    for piece in report.render_pieces(iter(lambda: "".join(rows.readlines(1 << 16)), "")):
+        text += piece
+        if len(text) >= 1 << 16:
+            click.echo(text, nl=False)
+            text = ""
+    click.echo(text, nl=False)
 
 
 @main.command(name="report")
@@ -458,8 +485,11 @@ def _print_report(report, fmt):
 @_handle_errors
 def report_cmd(ledger_path, fmt):
     """Re-render the closure report of an existing ledger."""
-    ledger = audit_lib.read_ledger(ledger_path)
-    _print_report(audit_lib.build_report(ledger), fmt)
+    ledger, events = audit_lib.iter_ledger(ledger_path)
+    # rows wait in a spool until the closure line has been checked
+    with _spool() as rows:
+        count, nats, surcharge = audit_lib.tally(_spooled(events, rows))
+        _print_report(audit_lib.summarize(ledger, nats, surcharge), count, rows, fmt)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ Binning conventions, fixed once here so results are reproducible:
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import importlib.util
 import itertools
@@ -54,6 +56,9 @@ EXPLICIT = "explicit"
 
 #: Separator used when level combinations are joined into one label.
 LABEL_SEP = "+"
+
+#: The whitespace JSON allows around a value.
+_JSON_SPACE = " \t\n\r"
 
 
 @dataclass(frozen=True)
@@ -414,14 +419,14 @@ def _parse_attribute(entry, path) -> AttributeSpec:
     raise ValidationError(f"{path}: attribute {name!r} has unknown kind {kind!r}")
 
 
-def read_lines(path):
-    """Yield the lines of a UTF-8 text file as they are read, endings kept; a missing
-    file, bytes that are not UTF-8 or another OSError are a ParseError naming it."""
+@contextlib.contextmanager
+def _reading(path, **kwargs):
+    """Open a file for reading, mapping errors on opening or while reading as
+    :func:`read_lines` describes."""
     p = Path(path)
     try:
-        # newline="" keeps line endings untranslated, as csv.reader needs
-        with open(p, encoding="utf-8", newline="") as fh:
-            yield from fh
+        with open(p, **kwargs) as fh:
+            yield fh
     except FileNotFoundError:
         raise ParseError(f"{p}: no such file") from None
     except UnicodeDecodeError as exc:
@@ -430,10 +435,29 @@ def read_lines(path):
         raise ParseError(f"{p}: {exc}") from None
 
 
-def write_text(path, text: str) -> None:
-    """Write UTF-8 text through a new file beside ``path`` that then replaces
-    it, so a failed write leaves neither a partial file nor the new one; the
-    failure is a ParseError naming ``path``."""
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file as they are read, endings kept; a missing
+    file, bytes that are not UTF-8 or another OSError are a ParseError naming it."""
+    # newline="" keeps line endings untranslated, as csv.reader needs
+    with _reading(path, encoding="utf-8", newline="") as fh:
+        yield from fh
+
+
+def read_chunks(path):
+    """Yield the bytes of a UTF-8 text file in 64 KiB chunks, checked as UTF-8
+    on the way, with the errors of :func:`read_lines`."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with _reading(path, mode="rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            decode(chunk)
+            yield chunk
+        decode(b"", True)
+
+
+def write_text(path, text) -> None:
+    """Write UTF-8 text, one string or an iterable of them, through a new file
+    beside ``path`` that then replaces it, so a failed write leaves neither a
+    partial file nor the new one; the failure is a ParseError naming ``path``."""
     import os
 
     p = Path(path)
@@ -441,7 +465,10 @@ def write_text(path, text: str) -> None:
     try:
         # "x" creates a new file with the umask's permissions and follows no link
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         tmp.replace(p)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -475,13 +502,20 @@ def read_csv_rows(path, what: str):
 def read_json_lines(path, what: str):
     """Yield ``(line number, object)`` for each non-blank line of a
     line-delimited JSON file; every line must hold one JSON object."""
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}:{lineno}: invalid {what} line: {exc}") from None
+            # json.loads without its per-call overhead: JSON whitespace around one value
+            record, end = decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            if line[end:].strip(_JSON_SPACE):
+                raise ValueError("extra data")
+        except (ValueError, RecursionError):
+            try:
+                record = json.loads(line)  # the general path words each error
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"{path}:{lineno}: invalid {what} line: {exc}") from None
         if not isinstance(record, dict):
             raise ParseError(f"{path}:{lineno}: {what} line must be a JSON object")
         yield lineno, record

@@ -605,6 +605,29 @@ class TestAuditCommand:
         event = json.loads(ledger.read_text().splitlines()[1])
         assert event["leakage_nats"] == pytest.approx(math.log(2), rel=1e-15)
 
+    def test_session_id_hashes_the_bytes_of_crlf_bom_and_non_ascii_files(
+        self, runner, tmp_path
+    ):
+        policy = tmp_path / "policy.yaml"
+        policy.write_bytes("\ufeffc_p: 0.001\r\nlambda: 10000\r\n".encode())
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(
+            '{"observable": "caf\u00e9 \ufeff\u2615", "leakage": 0.01}\r\n'
+            '{"decision": "granted"}\r\n'.encode()
+        )
+        out = ok(runner, "audit", "--policy", policy, "--events", events,
+                 "--out", tmp_path / "ledger.jsonl")
+        assert out.splitlines()[0] == "session 10eac660883f75d0"
+
+    def test_invalid_event_wins_over_an_unwritable_out(self, runner, data_dir, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"observable": "obs", "leakage": -1}\n{"decision": "granted"}\n')
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "absent" / "ledger.jsonl")
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"error: {events}:1: ")
+        assert result.stdout == ""
+
     def test_machine_report(self, runner, data_dir, tmp_path):
         out = ok(runner, *self.audit_args(data_dir, tmp_path / "ledger.jsonl"),
                  "--format", "machine")
@@ -629,6 +652,15 @@ class TestReportCommand:
                      "--format", "machine")
         reported = ok(runner, "report", "--ledger", ledger, "--format", "machine")
         assert json.loads(reported) == json.loads(audited)
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_bad_closure_line_prints_nothing(self, runner, tmp_path, fmt):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(DEMO_LEDGER.replace('{"decision": "granted"', '{"decision": "denied"'))
+        result = invoke(runner, "report", "--ledger", ledger, "--format", fmt)
+        assert result.exit_code == 2, result.output
+        assert "contradicts header consent" in result.stderr
+        assert result.stdout == ""
 
     def test_pending_ledger_has_no_report(self, runner, data_dir, tmp_path):
         from decimal import Decimal
@@ -1113,8 +1145,9 @@ class TestNonFiniteMoney:
         assert f"{ledger}:2: malformed event" in result.stderr
 
 
-# one field of the demo ledger's header or first event, the JSON value of
-# another type put in its place, and the error that follows the ledger's path
+# one field of the demo ledger's header or first event (the case up to its
+# first space), the JSON value of another type put in its place, and the
+# error that follows the ledger's path
 NON_STRING_LEDGER_FIELDS = {
     "session": ('"c48ed29ce635f378"', "null",
                 ": malformed session header: session must be a string, got None"),
@@ -1124,13 +1157,20 @@ NON_STRING_LEDGER_FIELDS = {
                    ":2: malformed event: observable must be a string, got 5"),
     "rule": ('"linear"', '"exposure"',
              ":2: malformed event: rule must be 'linear', got 'exposure'"),
+    "leakage_nats boolean": ("0.02", "true",
+                             ":2: malformed event: leakage_nats must be a number, got True"),
+    "leakage_nats string": ("0.02", '"0.02"',
+                            ":2: malformed event: leakage_nats must be a number, got '0.02'"),
+    "surcharge boolean": ('"1886.7925"', "true", ":2: malformed event: "
+                          "surcharge must be a decimal string or number, got True"),
 }
 
 
 class TestLedgerFieldTypes:
-    @pytest.mark.parametrize("field", sorted(NON_STRING_LEDGER_FIELDS))
-    def test_report_exits_2_naming_the_field(self, runner, tmp_path, field):
-        value, other, message = NON_STRING_LEDGER_FIELDS[field]
+    @pytest.mark.parametrize("case", sorted(NON_STRING_LEDGER_FIELDS))
+    def test_report_exits_2_naming_the_field(self, runner, tmp_path, case):
+        value, other, message = NON_STRING_LEDGER_FIELDS[case]
+        field = case.split()[0]
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(DEMO_LEDGER.replace(f'"{field}": {value}', f'"{field}": {other}', 1))
         result = invoke(runner, "report", "--ledger", ledger)
@@ -1200,6 +1240,45 @@ class TestLazyNumpy:
         )
         result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
+
+
+# Spawns the CLI with argv[1:] and prints its exit code and own peak RSS. A
+# spawned child is charged the high-water mark of the process it was spawned
+# from, so the CLI is spawned from this small launcher, not from the tests.
+LAUNCHER = (
+    "import os, sys\n"
+    "out = os.open(os.devnull, os.O_WRONLY)\n"
+    "argv = [sys.executable, '-m', 'leakpricer.cli', *sys.argv[1:]]\n"
+    "pid = os.posix_spawn(sys.executable, argv, os.environ,\n"
+    "                     file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_ledger_commands_run_in_memory_that_does_not_grow_with_the_ledger(data_dir, tmp_path):
+    peak_mb = {}
+    for n in (5_000, 50_000):
+        events = tmp_path / f"events-{n}.jsonl"
+        events.write_text("".join(
+            f'{{"observable": "obs {i % 7}", "leakage": {i % 97 / 1000}, '
+            f'"timestamp": "2024-05-01T09:{i % 60:02d}:00+00:00"}}\n'
+            for i in range(n)
+        ) + '{"decision": "granted"}\n')
+        ledger = tmp_path / f"ledger-{n}.jsonl"
+        for command, args in (
+            ("audit", ("--policy", data_dir / "policy_calibrated.yaml",
+                       "--events", events, "--out", ledger)),
+            ("report", ("--ledger", ledger)),
+        ):
+            result = run_python("-c", LAUNCHER, command, *args)
+            assert result.returncode == 0, result.stderr
+            code, kib = result.stdout.split()
+            assert code == "0", result.stderr
+            peak_mb[command, n] = int(kib) / 1024
+    for command in ("audit", "report"):
+        assert peak_mb[command, 50_000] - peak_mb[command, 5_000] < 5, peak_mb
 
 
 WORKED_EXAMPLES_STDOUT = """

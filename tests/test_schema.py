@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +23,7 @@ from leakpricer import (
     load_schema,
     samples_to_csv,
 )
-from leakpricer.schema import read_csv_rows, write_text
+from leakpricer.schema import read_csv_rows, read_json_lines, read_lines, write_text
 
 import oracles
 
@@ -439,6 +440,65 @@ class TestCsvRows:
         assert list(read_csv_rows(f, "t")) == [
             (1, ["x", "u", "v"]), (7, ["a", "", ""]), (8, ["", "", " b"]),
         ]
+
+
+# One line of a JSON-lines file: a value, or something close to one, with
+# text around it that JSON may or may not allow there. Nesting deep enough
+# to fail is of one kind, so the error names the same container at any depth.
+UTF8_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | UTF8_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(UTF8_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+JSON_BODIES = st.one_of(
+    st.dictionaries(UTF8_TEXT, JSON_VALUES, max_size=4).map(json.dumps),
+    JSON_VALUES.map(lambda value: json.dumps(value, ensure_ascii=False)),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+    st.integers(1, 3000).map(lambda depth: '{"a": ' * depth + "0" + "}" * depth),
+    st.sampled_from(['{"a": 1} {"b": 2}', '{"a": 1}}', '{"a": NaN}', "{", '{"a" 1}', ""]),
+    UTF8_TEXT,
+)
+JSON_AROUND = st.sampled_from(
+    ["", " ", "\t", "\r", "\x0b", "\xa0", "\ufeff", "\x1c", " x", "}", "\u2028"]
+)
+JSON_LINES = st.tuples(JSON_AROUND, JSON_BODIES, JSON_AROUND, st.sampled_from(["\n", "\r\n", ""]))
+
+
+def json_loads_lines(path):
+    """What reading each line of ``path`` with json.loads gives: the records
+    before the first bad line, and that line's error (None if there is none)."""
+    records = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            return records, f"{path}:{lineno}: invalid t line: {exc}"
+        if not isinstance(record, dict):
+            return records, f"{path}:{lineno}: t line must be a JSON object"
+        records.append((lineno, record))
+    return records, None
+
+
+class TestJsonLines:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(JSON_LINES, min_size=1, max_size=3))
+    def test_reads_what_json_loads_reads(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            path.write_text("".join("".join(parts) for parts in lines), encoding="utf-8",
+                            newline="")
+            records, error = [], None
+            try:
+                records.extend(read_json_lines(path, "t"))
+            except ParseError as exc:
+                error = str(exc)
+            expected, expected_error = json_loads_lines(path)
+        assert error == expected_error
+        assert repr(records) == repr(expected)  # repr, so that a NaN equals itself
 
 
 class TestWriteText:
