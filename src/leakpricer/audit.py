@@ -314,12 +314,14 @@ def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
     consent = header.get("consent", CONSENT_PENDING)
     if consent not in (CONSENT_PENDING, *_DECISIONS):
         raise ParseError(f"{p}: unknown consent state {consent!r}")
-    return SessionLedger(header["session"], policy, consent), _ledger_events(p, records, consent)
+    ledger = SessionLedger(header["session"], policy, consent)
+    return ledger, _ledger_events(p, records, consent, policy.production_cost)
 
 
-def _ledger_events(p: Path, records, consent: str) -> Iterator[AuditEvent]:
+def _ledger_events(p: Path, records, consent: str,
+                   production_cost: Decimal) -> Iterator[AuditEvent]:
     closure = None
-    sequence = 0
+    sequence, total_nats, total_surcharge = 0, 0.0, Decimal("0.0000")
     for lineno, record in records:
         if "decision" in record:
             if closure is not None:
@@ -356,6 +358,8 @@ def _ledger_events(p: Path, records, consent: str) -> Iterator[AuditEvent]:
                 f"{p}:{lineno}: event sequence {event.sequence} breaks the "
                 f"dense 1..n order"
             )
+        total_nats += event.leakage_nats  # left to right, as tally sums for the writer
+        total_surcharge += event.surcharge
         yield event
     if closure is not None:
         lineno, record = closure
@@ -364,15 +368,40 @@ def _ledger_events(p: Path, records, consent: str) -> Iterator[AuditEvent]:
                 f"{p}:{lineno}: closure decision {record.get('decision')!r} "
                 f"contradicts header consent {consent!r}"
             )
+        _check_closure_totals(f"{p}:{lineno}", record, {
+            "total_leakage_nats": Decimal(repr(total_nats)),
+            "total_surcharge": total_surcharge,
+            "grand_total": quantize_money(production_cost + total_surcharge),
+        })
     elif consent != CONSENT_PENDING:
         raise ParseError(f"{p}: consent is {consent!r} but no closure line found")
 
 
-def _ledger_money(value) -> Decimal:
-    """A ledger surcharge: a decimal string, or a JSON number read by its shortest repr."""
+def _check_closure_totals(where: str, record: dict, derived: dict) -> None:
+    """Check each total the closure line states against the one ``derived``
+    from the events read, both as Decimal values."""
+    try:
+        if type(record["total_leakage_nats"]) not in (int, float):
+            raise TypeError(f"total_leakage_nats must be a number, "
+                            f"got {record['total_leakage_nats']!r}")
+        stated = {key: _ledger_money(record[key], key) for key in derived}
+        for key, amount in stated.items():  # an infinite sum can be stated; NaN cannot
+            if amount.is_nan():
+                raise ValueError(f"{key} must be a number, got {record[key]!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: malformed closure: {exc}") from None
+    for key, value in derived.items():
+        if stated[key] != value:
+            raise ValidationError(
+                f"{where}: closure {key} {stated[key]} does not match {value} from the events"
+            )
+
+
+def _ledger_money(value, key: str = "surcharge") -> Decimal:
+    """A ledger amount: a decimal string, or a JSON number read by its shortest repr."""
     if type(value) in (str, int, float):
         try:
             return Decimal(str(value))
         except InvalidOperation:
             pass
-    raise ValueError(f"surcharge must be a decimal string or number, got {value!r}")
+    raise ValueError(f"{key} must be a decimal string or number, got {value!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -44,20 +45,19 @@ def _fmt_money(amount) -> str:
     return str(quantize_money(amount))
 
 
-def _emit(doc: dict) -> None:
-    click.echo(json.dumps(doc))
-
-
 def _handle_errors(command):
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
-            return command(*args, **kwargs)
+            command(*args, **kwargs)
+            sys.stdout.flush()  # so a closed stdout fails here, not at exit
         except (ParseError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, BrokenPipeError):  # drop what stdout still buffers
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_PARSE)
         except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_VALIDATION)
 
     return wrapper
@@ -68,6 +68,12 @@ def _handle_errors(command):
 def main() -> None:
     """Measure how much an observable leaks about a protected profile
     and price the leakage as a surcharge."""
+    # stdout is UTF-8 whatever the locale or terminal; a lone surrogate, which
+    # UTF-8 cannot encode, prints as its backslash escape. Text is buffered even
+    # under PYTHONUNBUFFERED, so a short output is still one write.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace",
+                               write_through=False)
 
 
 @main.command()
@@ -80,9 +86,9 @@ def entropy(table_path, unit, fmt):
     table = infotheory.read_joint_table(table_path)
     quantity = infotheory.entropy(table.s_marginal(), unit)
     if fmt == "machine":
-        _emit({"quantity": "profile_entropy", "value": quantity.value, "unit": unit})
+        print(json.dumps({"quantity": "profile_entropy", "value": quantity.value, "unit": unit}))
     else:
-        click.echo(f"H(S) = {_fmt_info(quantity.value)} {unit}")
+        print(f"H(S) = {_fmt_info(quantity.value)} {unit}")
 
 
 @main.command()
@@ -95,9 +101,10 @@ def mi(table_path, unit, fmt):
     table = infotheory.read_joint_table(table_path)
     quantity = infotheory.mutual_information(table, unit)
     if fmt == "machine":
-        _emit({"quantity": "mutual_information", "value": quantity.value, "unit": unit})
+        print(json.dumps({"quantity": "mutual_information", "value": quantity.value,
+                          "unit": unit}))
     else:
-        click.echo(f"I(X;S) = {_fmt_info(quantity.value)} {unit}")
+        print(f"I(X;S) = {_fmt_info(quantity.value)} {unit}")
 
 
 def _parse_bin_flag(text: str) -> tuple[str, schema_lib.BinRule]:
@@ -142,9 +149,9 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
     text = schema_lib.samples_to_csv(binned)
     if out_path:
         schema_lib.write_text(out_path, text)
-        click.echo(f"wrote {binned.n} rows to {out_path}")
+        print(f"wrote {binned.n} rows to {out_path}")
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
 
 
 @main.command()
@@ -178,28 +185,26 @@ def estimate(schema_path, samples_path, seed, bandwidth_flags, unit, fmt):
     result = estimation.estimate_mi(samples, bandwidths, seed=seed)
     shown = result.value.to(unit)
     if fmt == "machine":
-        _emit(
-            {
-                "quantity": "mutual_information_estimate",
-                "value": shown.value,
-                "unit": unit,
-                "value_nats": result.value.value,
-                "raw_nats": result.raw_nats,
-                "method": result.method,
-                "n": result.n,
-                "seed": result.seed,
-                "bandwidths": result.bandwidths,
-            }
-        )
+        print(json.dumps({
+            "quantity": "mutual_information_estimate",
+            "value": shown.value,
+            "unit": unit,
+            "value_nats": result.value.value,
+            "raw_nats": result.raw_nats,
+            "method": result.method,
+            "n": result.n,
+            "seed": result.seed,
+            "bandwidths": result.bandwidths,
+        }))
         return
-    click.echo(f"method = {result.method}")
-    click.echo(f"n = {result.n}")
+    print(f"method = {result.method}")
+    print(f"n = {result.n}")
     if result.seed is not None:
-        click.echo(f"seed = {result.seed}")
+        print(f"seed = {result.seed}")
     if result.bandwidths:
         for name in sorted(result.bandwidths):
-            click.echo(f"bandwidth[{name}] = {_fmt_info(result.bandwidths[name])}")
-    click.echo(f"I(X;S) = {_fmt_info(shown.value)} {unit}")
+            print(f"bandwidth[{name}] = {_fmt_info(result.bandwidths[name])}")
+    print(f"I(X;S) = {_fmt_info(shown.value)} {unit}")
 
 
 def _infer_rule(policy) -> str:
@@ -267,15 +272,15 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
         }
         if subsets:
             doc["subsets"] = {key: value.in_nats() for key, value in subsets.items()}
-        _emit(doc)
+        print(json.dumps(doc))
         return
-    # one echo of lines formatted in full, so a money error leaves stdout empty
+    # one print of lines formatted in full, so a money error leaves stdout empty
     lines = [f"rule = {quote.rule}"]
     for key, value in subsets.items():
         lines.append(f"leakage[{key}] = {_fmt_info(value.to(unit).value)} {unit}")
     lines.append(f"leakage = {_fmt_info(shown.value)} {unit}")
     lines += [f"{name} = {amount} {quote.currency}" for name, amount in money.items()]
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 @main.command()
@@ -293,9 +298,9 @@ def calibrate(pi_max, entropy_value, unit, currency, fmt):
     ceiling = pricing.PricingPolicy(0, max_penalty=pi_max, currency=currency).max_penalty
     rate = pricing.calibrate_lambda(ceiling, InfoQuantity(entropy_value, unit))
     if fmt == "machine":
-        _emit({"lambda_per_nat": rate, "currency": currency})
+        print(json.dumps({"lambda_per_nat": rate, "currency": currency}))
     else:
-        click.echo(f"lambda = {rate:.4f} {currency} per nat")
+        print(f"lambda = {rate:.4f} {currency} per nat")
 
 
 @main.command()
@@ -320,9 +325,9 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
         schema_lib.write_text(out_path, text)
-        click.echo(f"wrote {len(points)} points to {out_path}")
+        print(f"wrote {len(points)} points to {out_path}")
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
 
 
 def _priced_events(path, ledger):
@@ -453,30 +458,20 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
 def _print_report(report, count, rows, fmt):
     """Print the report of ``count`` events whose rows are spooled in ``rows``."""
     if fmt == "machine":
-        _emit(
-            {
-                "session": report.session_id,
-                "decision": report.decision,
-                "events": count,
-                "total_leakage_nats": report.total_leakage.in_nats(),
-                "production_cost": _fmt_money(report.production_cost),
-                "total_surcharge": str(report.total_surcharge),
-                "grand_total": _fmt_money(report.grand_total),
-                "currency": report.currency,
-                "disclaimer": report.disclaimer,
-            }
-        )
+        print(json.dumps({
+            "session": report.session_id,
+            "decision": report.decision,
+            "events": count,
+            "total_leakage_nats": report.total_leakage.in_nats(),
+            "production_cost": _fmt_money(report.production_cost),
+            "total_surcharge": str(report.total_surcharge),
+            "grand_total": _fmt_money(report.grand_total),
+            "currency": report.currency,
+            "disclaimer": report.disclaimer,
+        }))
         return
     rows.seek(0)
-    # whole lines at a time, so no escape sequence that click strips is split,
-    # and at least 64k characters an echo, so a short report is one write
-    text = ""
-    for piece in report.render_pieces(iter(lambda: "".join(rows.readlines(1 << 16)), "")):
-        text += piece
-        if len(text) >= 1 << 16:
-            click.echo(text, nl=False)
-            text = ""
-    click.echo(text, nl=False)
+    sys.stdout.writelines(report.render_pieces(rows))
 
 
 @main.command(name="report")

@@ -232,8 +232,13 @@ def _exposure(joint: JointTable) -> tuple[float, float]:
             "profile entropy is zero; exposure ratio undefined "
             "(the prior already determines the profile)"
         )
-    ratio = nats / h_s
-    return nats, 1.0 if ratio >= 1.0 - NEG_CLAMP else max(ratio, 0.0)
+    return nats, _exposure_ratio(nats, h_s)
+
+
+def _exposure_ratio(nats: float, h_nats: float) -> float:
+    """``nats / h_nats`` with its endpoints snapped within :data:`NEG_CLAMP`."""
+    ratio = nats / h_nats
+    return 1.0 if ratio >= 1.0 - NEG_CLAMP else max(ratio, 0.0)
 
 
 def exposure_ratio(joint: JointTable) -> float:

@@ -26,6 +26,7 @@ from .infotheory import (
     InfoQuantity,
     JointTable,
     _exposure,
+    _exposure_ratio,
 )
 from .schema import load_yaml_doc
 
@@ -309,7 +310,8 @@ def price_curve(
             )
 
         def total_at(nats: float) -> Decimal:
-            return policy.production_cost + to_decimal(nats / h_nats) * policy.max_penalty
+            return (policy.production_cost
+                    + to_decimal(_exposure_ratio(nats, h_nats)) * policy.max_penalty)
 
     else:
         raise ValidationError(

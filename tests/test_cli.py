@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -8,13 +10,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leakpricer import (
     LN2,
@@ -458,6 +461,16 @@ class TestCurveCommand:
         assert result.exit_code == 3
         assert "entropy" in result.stderr
 
+    def test_exposure_curve_never_prices_above_full_disclosure(self, runner, tmp_path):
+        # 5.300000000005 nats is within round-off of H = 5.3, so the curve
+        # snaps its ratio to 1 as the exposure rule does: exactly the ceiling
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("c_p: 0.001\npi_max: 1000000000\n")
+        out = ok(runner, "curve", "--policy", policy, "--rule", "exposure",
+                 "--entropy", "5.3", "--start", "5.300000000005",
+                 "--stop", "5.300000000005", "--step", "1")
+        assert out == "leakage,value\n5.300000,1000000000.0010\n"
+
 
 class TestAuditCommand:
     def audit_args(self, data_dir, ledger_path):
@@ -662,9 +675,76 @@ class TestReportCommand:
         assert "contradicts header consent" in result.stderr
         assert result.stdout == ""
 
-    def test_pending_ledger_has_no_report(self, runner, data_dir, tmp_path):
-        from decimal import Decimal
+    def test_tampered_surcharge_and_grand_total_exit_3(self, runner, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(
+            DEMO_LEDGER.replace('"surcharge": "1886.7925"', '"surcharge": "0.0000"', 1)
+            .replace('"grand_total": "3773.5860"', '"grand_total": "1.0000"')
+        )
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            f"error: {ledger}:4: closure total_surcharge 3773.5850 does not match "
+            "1886.7925 from the events\n"
+        )
+        assert result.stdout == ""
+        with pytest.raises(ValidationError, match=":4: closure total_surcharge"):
+            read_ledger(ledger)
 
+    @pytest.mark.parametrize("field, value, code, shown", [
+        ("total_leakage_nats", "0.04", 2,
+         "malformed closure: total_leakage_nats must be a number, got '0.04'"),
+        ("total_surcharge", "lots", 2,
+         "malformed closure: total_surcharge must be a decimal string or number, got 'lots'"),
+        ("grand_total", "NaN", 2, "malformed closure: grand_total must be a number, got 'NaN'"),
+        ("grand_total", None, 2, "malformed closure: 'grand_total'"),
+        ("total_leakage_nats", 0.04000000000000001, 3,
+         "closure total_leakage_nats 0.04000000000000001 does not match 0.04 from the events"),
+        ("total_surcharge", "3773.5851", 3,
+         "closure total_surcharge 3773.5851 does not match 3773.5850 from the events"),
+        ("grand_total", "3773.5850", 3,
+         "closure grand_total 3773.5850 does not match 3773.5860 from the events"),
+    ])
+    def test_each_closure_total_is_checked(self, runner, tmp_path, field, value, code, shown):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(demo_ledger_with_closure(**{field: value}))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"error: {ledger}:4: {shown}\n"
+        assert result.stdout == ""
+
+    def test_closure_totals_compare_as_decimal_values(self, runner, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(
+            demo_ledger_with_closure(total_surcharge="3773.585", grand_total=3773.586)
+        )
+        assert ok(runner, "report", "--ledger", ledger) == AUDIT_TEXT
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        leakages=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+        which=st.integers(0, 5),
+        amount=st.decimals(min_value=0, max_value=10**9, places=4),
+    )
+    def test_an_edited_event_surcharge_makes_report_exit_3(self, leakages, which, amount):
+        with tempfile.TemporaryDirectory() as tmp:
+            events, ledger = Path(tmp) / "events.jsonl", Path(tmp) / "ledger.jsonl"
+            events.write_text("".join(
+                json.dumps({"observable": "obs", "leakage": nats}) + "\n" for nats in leakages
+            ) + '{"decision": "granted"}\n')
+            ok(CliRunner(), "audit", "--policy", DATA / "policy_calibrated.yaml",
+               "--events", events, "--out", ledger)
+            lines = ledger.read_text().splitlines(True)
+            line = 1 + which % len(leakages)
+            event = json.loads(lines[line])
+            assume(Decimal(event["surcharge"]) != amount)
+            lines[line] = json.dumps({**event, "surcharge": str(amount)}) + "\n"
+            ledger.write_text("".join(lines))
+            result = invoke(CliRunner(), "report", "--ledger", ledger)
+        assert result.exit_code == 3, result.output
+        assert f"{ledger}:{len(lines)}: closure total_surcharge" in result.stderr
+
+    def test_pending_ledger_has_no_report(self, runner, data_dir, tmp_path):
         from leakpricer import InfoQuantity, PricingPolicy, open_session, record_event
         from leakpricer import write_ledger
         from leakpricer.infotheory import NATS
@@ -1055,6 +1135,19 @@ class TestDemoStdout:
             out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
         assert out == expected
 
+    @pytest.mark.parametrize("case", sorted(DEMO_STDOUT))
+    def test_pinned_in_process_under_redirected_stdout(self, data_dir, tmp_path, case):
+        # how the benchmark tracer runs commands: a StringIO has no reconfigure
+        places = {"data": data_dir, "tmp": tmp_path, "ledger": tmp_path / "ledger.jsonl"}
+        places["ledger"].write_text(DEMO_LEDGER)
+        args, expected = DEMO_STDOUT[case]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            main([arg.format(**places) for arg in args], standalone_mode=False)
+        out = stdout.getvalue()
+        if expected.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert out == expected
+
     def test_ledger_differs_from_old_only_by_exchange_rate(self, runner, data_dir, tmp_path):
         ok(runner, *(arg.format(data=data_dir, tmp=tmp_path) for arg in AUDIT_DEMO))
         written = (tmp_path / "audit.jsonl").read_text()
@@ -1073,6 +1166,113 @@ class TestDemoStdout:
         result = invoke(runner, "price", "--policy", policy, "--leakage", "0.036")
         assert result.exit_code == 3
         assert "unknown policy key 'exchange_rate'" in result.stderr
+
+
+def write_stream(path, *observables) -> Path:
+    """An event stream of one 0.02-nat event per observable, then a decision."""
+    path.write_text("".join(
+        json.dumps({"observable": observable, "leakage": 0.02}) + "\n"
+        for observable in observables
+    ) + '{"decision": "granted"}\n')
+    return path
+
+
+def run_into_closed_pipe(args, unbuffered: bool):
+    """Run the CLI with stdout a pipe whose read end is closed before start."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "leakpricer.cli", *map(str, args)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestStdout:
+    """Commands print exactly what they format, in UTF-8, whatever the
+    terminal or locale."""
+
+    def audit_and_report(self, runner, tmp_path, *observables) -> str:
+        ledger = tmp_path / "ledger.jsonl"
+        audited = ok(runner, "audit", "--policy", DATA / "policy_calibrated.yaml",
+                     "--events", write_stream(tmp_path / "events.jsonl", *observables),
+                     "--out", ledger)
+        assert ok(runner, "report", "--ledger", ledger) == audited
+        return audited
+
+    def test_lone_surrogate_prints_as_its_escape(self, runner, tmp_path):
+        out = self.audit_and_report(runner, tmp_path, "bad\ud800x")
+        # the text the ledger's JSON holds, padded as the 5-character observable
+        assert "  bad\\ud800x" + " " * 15 + "        0.020000   1886.7925\n" in out
+
+    def test_ansi_escapes_reach_stdout_as_in_the_ledger(self, runner, tmp_path):
+        observable = "\u001b[31mred\u001b[0m"
+        out = self.audit_and_report(runner, tmp_path, observable)
+        assert f"  {observable:<20}        0.020000   1886.7925\n" in out
+        assert f'"observable": {json.dumps(observable)}' in (tmp_path / "ledger.jsonl").read_text()
+
+    def test_stdout_is_utf8_under_a_latin1_locale(self, tmp_path):
+        observable = "coffee \u2615"
+        events = write_stream(tmp_path / "events.jsonl", observable)
+        result = subprocess.run(
+            [sys.executable, "-m", "leakpricer.cli", "audit", "--policy",
+             str(DATA / "policy_calibrated.yaml"), "--events", str(events),
+             "--out", str(tmp_path / "ledger.jsonl")],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONIOENCODING": "latin-1",
+                 "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert f"  {observable:<20}  ".encode("utf-8") in result.stdout
+
+    def test_short_output_is_one_write_under_an_unbuffered_stdout(self, data_dir, tmp_path):
+        class Raw(io.RawIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+                return len(data)
+
+        raw = Raw()
+        # the stdout of python -u: text written through to an unbuffered file
+        with contextlib.redirect_stdout(io.TextIOWrapper(raw, "ascii", write_through=True)):
+            main([arg.format(data=data_dir, tmp=tmp_path) for arg in AUDIT_DEMO],
+                 standalone_mode=False)
+        assert raw.writes == [AUDIT_TEXT.encode()]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["mi", "report"])
+    def test_closed_stdout_exits_2_with_one_error_line(self, runner, tmp_path, command,
+                                                       unbuffered):
+        if command == "mi":
+            args = ("mi", "--table", DATA / "timeofday_sex.csv")
+        else:  # a report well over 64k characters, more than a pipe holds
+            ledger = tmp_path / "ledger.jsonl"
+            events = write_stream(tmp_path / "events.jsonl", *["obs"] * 1000)
+            out = ok(runner, "audit", "--policy", DATA / "policy_calibrated.yaml",
+                     "--events", events, "--out", ledger)
+            assert len(out) > 1 << 16
+            args = ("report", "--ledger", ledger)
+        result = run_into_closed_pipe(args, unbuffered)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def demo_ledger_with_closure(**fields) -> str:
+    """DEMO_LEDGER with these closure fields set, or deleted where None."""
+    closure = {**json.loads(DEMO_LEDGER.splitlines()[-1]), **fields}
+    closure = {key: value for key, value in closure.items() if value is not None}
+    return "".join(DEMO_LEDGER.splitlines(True)[:-1]) + json.dumps(closure) + "\n"
 
 
 def ledger_with_first_surcharge(text: str) -> str:
