@@ -4,9 +4,9 @@ A schema declares an ordered list of protected attributes plus one
 observable. Attributes are either categorical with a fixed level set or
 continuous with finite closed bounds. Samples are stored one array per
 column, level codes for a categorical column and floats for a
-continuous one; a sample file is read straight into those columns and
-checked on the arrays, reporting the first bad value in row order, and
-the row tuples of :attr:`SampleSet.rows` are derived only on request.
+continuous one; each distinct line of a sample file is parsed once, each
+column is indexed from those and checked as an array, reporting the
+first bad value in row order, and row tuples are derived on request.
 Discretization maps continuous attributes onto categorical bins so the
 exact counting machinery applies downstream.
 
@@ -34,18 +34,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
 from .errors import ParseError, ValidationError
 
-# numpy loads on first attribute use, so commands that never touch an array
-# skip its import; a numpy already imported is the one bound
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+
+def _lazy(name: str):
+    """The module ``name``, loaded on first attribute use, so a command that
+    never uses it skips its import; one already imported is returned as is."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
+yaml = _lazy("yaml")
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
@@ -477,24 +482,44 @@ def write_text(path, text) -> None:
         raise
 
 
-def read_csv_rows(path, what: str):
-    """Yield ``(line number, cells)`` for each non-blank row of a delimited
-    file, header first. Line numbers are physical (blank lines count); every
-    row must have the header's cell count; no rows is an ``empty <what> file``."""
-    reader = csv.reader(read_lines(path))
-    width = None
-    try:
-        for cells in reader:
-            if not "".join(cells).strip():
-                continue
-            width = width or len(cells)  # the header's width
-            if len(cells) != width:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: expected {width} cells, got {len(cells)}"
-                )
-            yield reader.line_num, cells
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+def read_csv_rows(path, what: str, ids: list | None = None):
+    """Yield ``(line number, cells)`` for each non-blank record of a delimited
+    file, header first, a leading byte order mark dropped. Line numbers are
+    physical (blank lines count), a record's being that of its last line. Each
+    record has the header's cell count; no records is an ``empty <what> file``.
+    With a list ``ids``, a data line seen before is not parsed or yielded again;
+    ``ids`` gets each data record's position among the data records yielded."""
+    lines = read_lines(path)
+    numbered = enumerate(itertools.chain([next(lines, "").removeprefix("\ufeff")], lines), 1)
+    rest = (line for _, line in numbered)
+    limit, seen, width = csv.field_size_limit(), {}, None
+    for lineno, line in numbered:
+        known = seen.get(line)
+        if known is not None:
+            ids.append(known)
+            continue
+        # any other line is one record that split() cuts as csv.reader does; csv.reader
+        # takes quotes, a cell that may pass its field limit, and NUL (an error before 3.11)
+        if '"' in line or "\0" in line or len(line) > limit:
+            reader = csv.reader(itertools.chain([line], rest))
+            try:
+                cells = next(reader)
+            except csv.Error as exc:
+                raise ParseError(f"{path}:{lineno + reader.line_num - 1}: {exc}") from None
+            spans = reader.line_num > 1
+            lineno += reader.line_num - 1
+        else:
+            cells, spans = line.rstrip("\r\n").split(","), False
+        if not "".join(cells).strip():
+            continue
+        if width is None:
+            width = len(cells)  # the header's
+        elif len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+        elif ids is not None:
+            # a record that spans lines is keyed by its number, which no line is
+            ids.append(seen.setdefault(lineno if spans else line, len(seen)))
+        yield lineno, cells
     if width is None:
         raise ParseError(f"{path}: empty {what} file")
 
@@ -553,75 +578,49 @@ def load_samples(path, schema: ProfileSchema) -> SampleSet:
     be declared, and every cell must parse and validate.
     """
     p = Path(path)
-    raw = read_csv_rows(p, "sample")
+    ids = []
+    raw = read_csv_rows(p, "sample", ids)
     header = [h.strip() for h in next(raw)[1]]
     if len(set(header)) != len(header):
         raise ValidationError(f"{p}: duplicate column in header")
-    declared = [spec.name for spec in schema.columns]
+    specs = schema.columns
+    declared = [spec.name for spec in specs]
     unknown = [h for h in header if h not in declared]
     if unknown:
         raise ValidationError(f"{p}: unknown column {unknown[0]!r}")
     missing = [n for n in declared if n not in header]
     if missing:
         raise ValidationError(f"{p}: missing column {missing[0]!r}")
-    position = {name: header.index(name) for name in declared}
-    specs = schema.columns
-    codes = {spec.name: _LevelCodes(zip(spec.levels, itertools.count()))
-             for spec in specs if not spec.is_continuous}
-    columns = [[] for _ in specs]
-    plan = [
-        (values.append, codes[spec.name].__getitem__ if spec.name in codes else _to_float,
-         position[spec.name])
-        for values, spec in zip(columns, specs)
-    ]
+    at = [header.index(name) for name in declared]
+    # {cell: code} of each categorical column; an undeclared cell, stripped,
+    # gets the next code past the levels
+    codes = [None if spec.is_continuous else {v: k for k, v in enumerate(spec.levels)}
+             for spec in specs]
+    table = [[] for _ in specs]  # the distinct rows, one list per column
     for lineno, cells in raw:
-        try:
-            for append, convert, at in plan:
-                append(convert(cells[at]))
-        except ValueError:
-            raise ParseError(
-                f"{p}:{lineno}: non-numeric value {cells[at].strip()!r} "
-                f"for attribute {header[at]!r}"
-            ) from None
-    if not columns[0]:
+        for values, k, code in zip(table, at, codes):
+            cell = cells[k]
+            if code is None:
+                try:
+                    values.append(float(cell.strip()))
+                except ValueError:
+                    raise ParseError(f"{p}:{lineno}: non-numeric value {cell.strip()!r} "
+                                     f"for attribute {header[k]!r}") from None
+            else:
+                values.append(code.setdefault(cell if cell in code else cell.strip(), len(code)))
+    if not ids:
         raise ParseError(f"{p}: sample file has a header but no data rows")
-    data = [np.array(values, dtype=float if spec.is_continuous else np.intp)
-            for spec, values in zip(specs, columns)]
-    del plan, columns  # the lists take as much memory as the arrays
-    # the first bad value in row order; code -1 marks an undeclared level
-    bad = []
-    for j, (spec, values) in enumerate(zip(specs, data)):
-        if spec.is_continuous:
-            ok = (spec.lower <= values) & (values <= spec.upper)
-        else:
-            ok = values >= 0
-        if not ok.all():
-            bad.append((int(ok.argmin()), j))
-    if bad:
-        i, j = min(bad)
-        spec = specs[j]
-        value = float(data[j][i]) if spec.is_continuous else codes[spec.name].miss
-        _check_value(spec, value, f"{p}: row {i}")
+    rows = np.array(ids, dtype=np.intp)
+    data = [np.array(values, dtype=float if code is None else np.intp)[rows]
+            for values, code in zip(table, codes)]
+    # a row per data row, a column per attribute: the first False is the first bad value
+    ok = np.column_stack([(s.lower <= v) & (v <= s.upper) if s.is_continuous
+                          else v < len(s.levels) for s, v in zip(specs, data)])
+    if not ok.all():
+        i, j = divmod(int(ok.argmin()), len(specs))
+        value = float(data[j][i]) if specs[j].is_continuous else list(codes[j])[data[j][i]]
+        _check_value(specs[j], value, f"{p}: row {i}")
     return SampleSet._of(schema, data)
-
-
-def _to_float(cell: str) -> float:
-    return float(cell.strip())
-
-
-class _LevelCodes(dict):
-    """``{level: code}`` for one categorical column; a cell not found as it
-    is gets stripped, and one still undeclared gets code -1, the first such
-    kept in ``miss``."""
-
-    miss = None
-
-    def __missing__(self, cell: str) -> int:
-        cell = cell.strip()
-        code = self.get(cell, -1)
-        if code < 0 and self.miss is None:
-            self.miss = cell
-        return code
 
 
 def samples_to_csv(samples: SampleSet) -> str:

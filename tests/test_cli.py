@@ -1390,14 +1390,16 @@ class TestLedgerFieldTypes:
         )
 
 
-# runs the CLI, then prints the numpy submodules loaded as its last stderr line
-LOADED_NUMPY = (
+# runs the CLI, then prints the numpy submodules loaded and the yaml ones as
+# its last two stderr lines
+LOADED_MODULES = (
     "import sys\n"
     "from leakpricer.cli import main\n"
     "try:\n"
     "    main(sys.argv[1:])\n"
     "finally:\n"
-    "    print(sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr)\n"
+    "    for package in ('numpy.', 'yaml.'):\n"
+    "        print(sorted(m for m in sys.modules if m.startswith(package)), file=sys.stderr)\n"
 )
 
 
@@ -1413,8 +1415,9 @@ def run_python(*args):
 
 
 class TestLazyNumpy:
-    """numpy loads on first array use. Each case runs in a fresh interpreter:
-    this one imported numpy with the tests."""
+    """numpy loads on first array use, and yaml when a command reads a YAML
+    file. Each case runs in a fresh interpreter: this one imported numpy with
+    the tests."""
 
     @pytest.mark.parametrize("case, loads_numpy", [
         ("report-text", False), ("report-machine", False), ("audit-text", False),
@@ -1425,10 +1428,12 @@ class TestLazyNumpy:
         places = {"data": data_dir, "tmp": tmp_path, "ledger": tmp_path / "ledger.jsonl"}
         places["ledger"].write_text(DEMO_LEDGER)
         args, expected = DEMO_STDOUT[case]
-        result = run_python("-c", LOADED_NUMPY, *(arg.format(**places) for arg in args))
+        result = run_python("-c", LOADED_MODULES, *(arg.format(**places) for arg in args))
         assert result.returncode == 0, result.stderr
         assert result.stdout == expected
-        assert (result.stderr.splitlines()[-1] != "[]") == loads_numpy
+        numpy_modules, yaml_modules = result.stderr.splitlines()[-2:]
+        assert (numpy_modules != "[]") == loads_numpy
+        assert (yaml_modules != "[]") == any(arg.endswith(".yaml") for arg in args)
 
     @pytest.mark.parametrize("first", ["numpy", "leakpricer.schema"])
     def test_one_numpy_whichever_is_imported_first(self, first):

@@ -80,27 +80,38 @@ def cell_text(column):
         edges = [repr(lower), repr(upper), "nan", "inf", "-inf", "x1", "", "1e999", "1_0"]
         core = mostly(st.floats(lower, upper).map(repr),
                       st.floats(lower - 1, upper + 1).map(repr) | st.sampled_from(edges))
-    return st.tuples(PADDING, core, PADDING).map("".join)
+    padded = st.tuples(PADDING, core, PADDING).map("".join)
+    # a quoted cell, some holding a comma, a quote or a line break
+    odd = st.tuples(padded, st.sampled_from(["", ",", '"', "\n", "\r\n", "\r"]), padded)
+    quoted = odd.map(lambda parts: '"' + "".join(parts).replace('"', '""') + '"')
+    return mostly(padded, quoted)
 
 
 @st.composite
 def sample_file(draw) -> tuple:
     """Columns plus the text of a sample file: the header in a random order,
-    then data rows, some short a cell, with blank, whitespace-only and
-    comma-only lines mixed in."""
+    then data rows, some short a cell, some quoted cells, with blank,
+    whitespace-only and comma-only lines and the header's text mixed in.
+    One data line in two copies an earlier one, and each line ends in
+    ``\\n``, ``\\r\\n`` or ``\\r``."""
     columns = draw(sample_columns())
     order = draw(st.permutations(range(len(columns))))
     lines = [",".join(draw(PADDING) + columns[k][0] for k in order)]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.integers(0, 9))
-        if kind == 0:
+        if len(lines) > 1 and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(lines[1:])))
+        elif kind == 0:
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
         elif kind == 1:
             lines.append("," * draw(st.integers(1, len(columns) + 1)))
+        elif kind == 2:
+            lines.append(lines[0])
         else:
             cells = [draw(cell_text(columns[k])) for k in order]
-            lines.append(",".join(cells[:-1] if kind == 2 else cells))
-    return columns, "\n".join(lines) + "\n"
+            lines.append(",".join(cells[:-1] if kind == 3 else cells))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    return columns, "".join(line + draw(endings) for line in lines)
 
 
 @st.composite
@@ -403,13 +414,57 @@ class TestSampleFile:
             f"{f}: row 1, attribute 'score': value must be finite, got nan"
         )
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("group,score\na,0.5\nb,tall\na,0.5\nb,tall\n", ParseError,
+         ":3: non-numeric value 'tall' for attribute 'score'"),
+        ("group,score\na,0.5\npurple,0.5\na,0.5\npurple,0.5\n", ValidationError,
+         ": row 1, attribute 'group': value 'purple' is not a declared level"),
+        ("group,score\na,0.5\na,0.5\n\na,0.5,1\na,0.5,1\n", ParseError,
+         ":5: expected 2 cells, got 3"),
+    ])
+    def test_repeated_bad_line_reported_at_its_first(self, tmp_path, text, error, message):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(error) as raised:
+            load_samples(f, schema)
+        assert str(raised.value).startswith(f"{f}{message}")
+
+    @pytest.mark.parametrize("size, error, message", [
+        (131072, ValidationError, ": row 1, attribute 'group': value 'aaa"),
+        (131073, ParseError, ":3: field larger than field limit (131072)"),
+    ])
+    def test_unquoted_cell_at_the_field_limit(self, tmp_path, size, error, message):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        f.write_text(f"group,score\na,0.5\n{'a' * size},0.5\n")
+        with pytest.raises(error) as raised:
+            load_samples(f, schema)
+        assert str(raised.value).startswith(f"{f}{message}")
+
+    def test_line_ending_twins_load_as_one_row(self, tmp_path):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"group,score\r\nb,0.25\r\na,0.5\r\na,0.5\nb,0.25\rb,0.25\n")
+        loaded = load_samples(f, schema)
+        assert loaded.rows == (("b", 0.25), ("a", 0.5), ("a", 0.5), ("b", 0.25), ("b", 0.25))
+        assert [values.tolist() for values in loaded.data] == [[1, 0, 0, 1, 1],
+                                                              [0.25, 0.5, 0.5, 0.25, 0.25]]
+
+    @pytest.mark.parametrize("header", ["group,score", '"group",score'])
+    def test_leading_byte_order_mark_dropped(self, tmp_path, header):
+        schema = self._schema_doc(tmp_path)
+        f = tmp_path / "s.csv"
+        f.write_text(f"\ufeff{header}\na,0.5\n", encoding="utf-8")
+        assert load_samples(f, schema).rows == (("a", 0.5),)
+
     @settings(max_examples=300, deadline=None)
     @given(case=sample_file())
     def test_matches_row_wise_oracle(self, case):
         columns, text = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
-            path.write_text(text, encoding="utf-8")
+            path.write_text(text, encoding="utf-8", newline="")
             got = outcome(lambda: load_samples(path, schema_of(columns)).rows)
             assert got == outcome(lambda: oracles.read_sample_rows(path, columns))
 
