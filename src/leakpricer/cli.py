@@ -145,7 +145,12 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
     """Bin continuous attributes so exact counting applies."""
     schema = schema_lib.load_schema(schema_path)
     samples = schema_lib.load_samples(samples_path, schema)
-    binned = schema_lib.discretize(samples, dict(_parse_bin_flag(f) for f in bin_flags))
+    rules = {}
+    for name, rule in map(_parse_bin_flag, bin_flags):
+        if name in rules:
+            raise ValidationError(f"--bins is given twice for {name!r}")
+        rules[name] = rule
+    binned = schema_lib.discretize(samples, rules)
     text = schema_lib.samples_to_csv(binned)
     if out_path:
         schema_lib.write_text(out_path, text)
@@ -176,6 +181,8 @@ def estimate(schema_path, samples_path, seed, bandwidth_flags, unit, fmt):
         name, sep, width = flag.partition("=")
         if not sep or not name:
             raise ValidationError(f"--bandwidth expects NAME=WIDTH, got {flag!r}")
+        if name in bandwidths:
+            raise ValidationError(f"--bandwidth is given twice for {name!r}")
         try:
             bandwidths[name] = estimation.Bandwidth(float(width))
         except ValueError:

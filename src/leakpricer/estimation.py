@@ -13,16 +13,17 @@ The resubstitution average evaluates densities at the training points
 themselves. That makes the estimate mildly optimistic for small n; the
 bias is documented rather than corrected, and it shrinks as n grows.
 
-Kernel evaluation walks the rows in blocks of a fixed number of matrix
-entries, each block against all n samples: time stays quadratic in the
-sample count, while memory is bounded by one block whatever n is. Each
-row's mean is one contiguous reduction over that row, so results are
-the same for every block size.
+Kernel evaluation walks the rows in blocks, each against all n samples,
+on one worker thread per available core. Each worker reuses its own
+buffers, together within one block budget whatever n is, while time stays
+quadratic in n. Each row's mean is one contiguous reduction over that
+row, so results are the same bit for bit for any block size or core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,7 +40,7 @@ LOG_FLOOR = -745.0
 
 _SQRT_TAU = math.sqrt(2.0 * math.pi)
 
-#: Kernel entries evaluated per block of rows (2 MiB of float64).
+#: Kernel entries per block of rows, summed over the workers (2 MiB of float64).
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -135,9 +136,9 @@ def kde_log_densities(
     indicator match. Marginal densities reuse the same kernel
     assignments restricted to the relevant dimensions, never a refit.
 
-    A joint density that underflows to zero is an error naming the
-    first offending sample; marginals are floored at
-    :data:`LOG_FLOOR` with a warning.
+    A density that overflows, or a joint density that underflows to
+    zero, is an error naming the first offending sample; marginals are
+    floored at :data:`LOG_FLOOR` with a warning.
 
     All-categorical data is accepted; its indicator kernels make the
     estimate agree with plug-in counting (:func:`empirical_joint`).
@@ -159,41 +160,61 @@ def kde_log_densities(
     s_inputs, x_inputs = inputs[:-1], inputs[-1:]
     n = samples.n
     joint_mean, x_mean, s_mean = np.empty(n), np.empty(n), np.empty(n)
-    rows = max(1, BLOCK_ENTRIES // n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        s_block = _kernel_block(s_inputs, lo, hi)
-        x_block = _kernel_block(x_inputs, lo, hi)
-        s_mean[lo:hi] = s_block.mean(axis=1)
-        x_mean[lo:hi] = x_block.mean(axis=1)
-        s_block *= x_block
-        joint_mean[lo:hi] = s_block.mean(axis=1)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cores, -(-n // max(1, BLOCK_ENTRIES // n)))  # no more than blocks
+    rows = max(1, BLOCK_ENTRIES // (n * workers))
 
-    joint_log = _log_density(joint_mean, "joint")
-    x_log = _log_density(x_mean, "x marginal")
-    s_log = _log_density(s_mean, "s marginal")
-    return LogDensities(joint=joint_log, x=x_log, s=s_log)
+    def work(first: int) -> None:
+        # errstate is per thread; _log_density reports non-finite densities
+        s_buf, x_buf, scratch, z = (np.empty((rows, n)) for _ in range(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(first * rows, n, workers * rows):
+                hi = min(lo + rows, n)
+                s_block = _kernel_block(s_inputs, lo, hi, s_buf, scratch, z)
+                x_block = _kernel_block(x_inputs, lo, hi, x_buf, scratch, z)
+                s_mean[lo:hi] = s_block.mean(axis=1)
+                x_mean[lo:hi] = x_block.mean(axis=1)
+                s_block *= x_block
+                joint_mean[lo:hi] = s_block.mean(axis=1)
+
+    if workers == 1:
+        work(0)
+    else:  # imported here: concurrent.futures would slow every command's start
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:  # joins every worker on exit
+            list(pool.map(work, range(workers)))  # raises what a worker raised
+
+    kinds = ("joint", "x marginal", "s marginal")
+    return LogDensities(*map(_log_density, (joint_mean, x_mean, s_mean), kinds))
 
 
-def _kernel_block(inputs, lo, hi) -> np.ndarray:
-    """Entry (i, j) holds the product, over the group's dimensions in
-    schema order, of the kernel between sample lo + i and sample j."""
-    product: np.ndarray | None = None
-    for values, h in inputs:
+def _kernel_block(inputs, lo, hi, out, scratch, z) -> np.ndarray:
+    """Entry (i, j) of ``out`` gets the product, over the group's dimensions
+    in schema order, of the kernel between sample lo + i and sample j."""
+    out, scratch, z = out[: hi - lo], scratch[: hi - lo], z[: hi - lo]
+    for k, (values, h) in enumerate(inputs):
+        factor = scratch if k else out
         if h is None:
-            factor = values[lo:hi, None] == values[None, :]
+            np.equal(values[lo:hi, None], values[None, :], out=factor)
         else:
-            z = (values[lo:hi, None] - values[None, :]) / h
-            factor = np.exp(-0.5 * z * z) / (h * _SQRT_TAU)
-        if product is None:
-            product = factor.astype(float, copy=False)
-        else:
-            product *= factor
-    assert product is not None
-    return product
+            np.subtract(values[lo:hi, None], values[None, :], out=z)
+            z /= h
+            np.multiply(-0.5, z, out=factor)
+            factor *= z
+            np.exp(factor, out=factor)
+            factor /= h * _SQRT_TAU
+        if k:
+            out *= factor
+    return out
 
 
 def _log_density(density: np.ndarray, kind: str) -> np.ndarray:
+    if not np.isfinite(density).all():
+        index = int(np.argmin(np.isfinite(density)))
+        raise EstimationError(f"{kind} density overflowed at sample index {index}; "
+                              "a bandwidth is too small for this data")
     with np.errstate(divide="ignore"):
         logs = np.log(density)
     floored = logs < LOG_FLOOR
@@ -203,7 +224,7 @@ def _log_density(density: np.ndarray, kind: str) -> np.ndarray:
         index = int(np.nonzero(floored)[0][0])
         raise EstimationError(
             f"joint density underflowed at sample index {index}; "
-            "the bandwidth is too small for this data"
+            "a bandwidth is too large for this data"
         )
     warnings.warn(
         f"{int(floored.sum())} {kind} densities floored at exp({LOG_FLOOR:g})",

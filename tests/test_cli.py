@@ -196,6 +196,28 @@ class TestEstimateCommand:
             f"error: bandwidth given for {name!r}, which is not a continuous attribute\n"
         )
 
+    # the joint density at a sample is at least its self term, (1/n) times the
+    # product of 1/(h sqrt(2 pi)): only too large a bandwidth underflows it, and
+    # too small a one overflows that factor
+    @pytest.mark.parametrize("flag, cause", [
+        ("keystroke_interval=1e308", "underflowed at sample index 0; a bandwidth is too large"),
+        ("keystroke_interval=1e-320", "overflowed at sample index 0; a bandwidth is too small"),
+        ("impairment=1e-310", "overflowed at sample index 0; a bandwidth is too small"),
+    ], ids=["huge-observable", "tiny-observable", "tiny-attribute"])
+    def test_extreme_bandwidth_exits_3_naming_the_cause(self, runner, data_dir, flag, cause):
+        result = invoke(runner, "estimate", "--schema", data_dir / "keystroke_schema.yaml",
+                        "--samples", data_dir / "keystrokes.csv", "--bandwidth", flag)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: joint density {cause} for this data\n"
+
+    def test_repeated_bandwidth_exits_3_naming_it(self, runner, data_dir):
+        result = invoke(runner, "estimate", "--schema", data_dir / "keystroke_schema.yaml",
+                        "--samples", data_dir / "keystrokes.csv",
+                        "--bandwidth", "impairment=0.5", "--bandwidth", "impairment=0.05")
+        assert result.exit_code == 3
+        assert result.stderr == "error: --bandwidth is given twice for 'impairment'\n"
+
     def test_levels_joining_into_one_label_exit_3_naming_it(self, runner, tmp_path):
         schema = tmp_path / "schema.yaml"
         schema.write_text(
@@ -248,6 +270,16 @@ class TestDiscretizeCommand:
         assert result.stderr == (
             f"error: binning rule given for {name!r}, which is not a continuous attribute\n"
         )
+
+    def test_repeated_rule_exits_3_naming_it(self, runner, data_dir):
+        result = invoke(runner, "discretize",
+                        "--schema", data_dir / "keystroke_schema.yaml",
+                        "--samples", data_dir / "keystrokes.csv",
+                        "--bins", "impairment=equal-width:4",
+                        "--bins", "impairment=equal-width:2")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: --bins is given twice for 'impairment'\n"
 
     def test_bad_bins_flag(self, runner, data_dir):
         result = invoke(runner, "discretize",

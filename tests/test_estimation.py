@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +325,92 @@ class TestKdeDensities:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_joint_overflow_is_error_with_index(self):
+        # 1/(h sqrt(2 pi)) overflows: an error, not numpy warnings and a NaN
+        samples = SampleSet(GAUSS_SCHEMA, ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
+        h = {"trait": Bandwidth(1.0), "signal": Bandwidth(1e-320)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="overflowed at sample index 0; "
+                               "a bandwidth is too small"):
+                kde_log_densities(samples, h)
+
+    # 50 rows: 1 block at the last budget, so one worker whatever the cores
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("budget", [10, 7 * 50, 50 * 50 + 1])
+    def test_equals_dense_bit_for_bit_on_any_core_count(self, monkeypatch, budget, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(estimation, "BLOCK_ENTRIES", budget)
+        samples = mixed_samples(4, 50)
+        h = {
+            name: silverman_bandwidth(samples.column(name))
+            for name in ("impairment", "interval")
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches between the workers
+        try:
+            dens = kde_log_densities(samples, h)
+        finally:
+            sys.setswitchinterval(interval)
+        joint, x, s = dense_log_densities(samples, h)
+        assert np.array_equal(dens.joint, joint)
+        assert np.array_equal(dens.x, x)
+        assert np.array_equal(dens.s, s)
+
+    # 1200 entries are 3 blocks of 24 rows of 50; w workers split the budget
+    # into blocks of 24 // w rows, so the block height shows the worker count
+    @pytest.mark.parametrize("affinity, cpu_count, height", [
+        ({0}, 2, 24), ({0, 1, 2}, 1, 8), (set(range(8)), 1, 8), (None, 3, 8),
+    ], ids=["one-core", "three-cores", "more-cores-than-blocks", "no-affinity-call"])
+    def test_one_worker_per_available_core(self, monkeypatch, affinity, cpu_count, height):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(estimation, "BLOCK_ENTRIES", 1200)
+        heights = []
+        plain = estimation._kernel_block
+
+        def spy(inputs, lo, hi, *buffers):
+            heights.append(hi - lo)
+            return plain(inputs, lo, hi, *buffers)
+
+        monkeypatch.setattr(estimation, "_kernel_block", spy)
+        kde_log_densities(mixed_samples(4, 50), {"impairment": Bandwidth(0.1),
+                                                 "interval": Bandwidth(20.0)})
+        assert max(heights) == height
+        assert sum(heights) == 2 * 50
+
+    def test_peak_memory_bounded_on_eight_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        self.test_peak_memory_bounded()
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_workers_end_with_the_call(self, monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(estimation, "BLOCK_ENTRIES", 10)
+        samples = mixed_samples(4, 50)
+        h = {"impairment": Bandwidth(0.1), "interval": Bandwidth(20.0)}
+        before = threading.active_count()
+        kde_log_densities(samples, h)
+        assert threading.active_count() == before
+        plain = estimation._kernel_block
+
+        def failing(inputs, lo, hi, *buffers):
+            if lo == 44:  # a later block, taken by a worker thread at 3 cores
+                raise ArithmeticError("block at row 44")
+            return plain(inputs, lo, hi, *buffers)
+
+        monkeypatch.setattr(estimation, "_kernel_block", failing)
+        with pytest.raises(ArithmeticError, match="block at row 44"):
+            kde_log_densities(samples, h)
+        assert threading.active_count() == before
 
     def test_marginal_floor_warns(self):
         from leakpricer.estimation import LOG_FLOOR, _log_density
