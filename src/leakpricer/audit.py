@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
-from .pricing import LINEAR, PricingPolicy, _linear_surcharge, quantize_money, to_decimal
+from .pricing import LINEAR, PER_NAT, PricingPolicy, quantize_money, to_decimal
 from .schema import read_json_lines, write_text
 
 CONSENT_PENDING = "pending"
@@ -116,7 +117,7 @@ class SessionLedger:
         """An event of this session, checked, its surcharge the policy rate times
         the leakage in nats quantized onto the money grid; it is not appended."""
         return AuditEvent(sequence, timestamp, observable, nats,
-                          quantize_money(_linear_surcharge(self._rate, nats)), LINEAR)
+                          quantize_money(self._rate * Decimal(repr(nats))), LINEAR)
 
     @property
     def total_leakage_nats(self) -> float:
@@ -178,7 +179,7 @@ class SessionReport:
     production_cost: Decimal
     total_surcharge: Decimal
     grand_total: Decimal
-    disclaimer: str = DISCLAIMER
+    disclaimer: ClassVar[str] = DISCLAIMER
 
     def render(self) -> str:
         """Human-readable summary; deterministic for identical reports."""
@@ -200,23 +201,18 @@ class SessionReport:
                f"{self.disclaimer}\n")
 
 
-def build_report(ledger: SessionLedger) -> SessionReport:
-    """Summarize a closed ledger; open sessions have nothing to report."""
-    _, nats, surcharge = tally(ledger.events)
-    return summarize(ledger, nats, surcharge, tuple(ledger.events))
-
-
-def summarize(ledger: SessionLedger, nats: float, surcharge: Decimal,
-              events: tuple[AuditEvent, ...] = ()) -> SessionReport:
-    """The report of a closed ledger from the totals of its events, holding
-    ``events``; open sessions have nothing to report."""
+def build_report(ledger: SessionLedger, totals=None) -> SessionReport:
+    """Summarize a closed ledger, holding its events; open sessions have nothing
+    to report. ``totals``, the ``(nats, surcharge)`` that :func:`tally` gives for
+    events streamed past the ledger, replaces the sums of the ledger's own events."""
     if ledger.consent == CONSENT_PENDING:
         raise ValidationError("session is still open; close it before reporting")
+    nats, surcharge = tally(ledger.events)[1:] if totals is None else totals
     return SessionReport(
         session_id=ledger.session_id,
         decision=ledger.consent,
         currency=ledger.policy.currency,
-        events=events,
+        events=tuple(ledger.events),
         total_leakage=InfoQuantity(nats, NATS),
         production_cost=ledger.policy.production_cost,
         total_surcharge=surcharge,
@@ -224,18 +220,18 @@ def summarize(ledger: SessionLedger, nats: float, surcharge: Decimal,
     )
 
 
-def close_session(ledger: SessionLedger, decision: str) -> SessionReport:
-    """Move consent from pending to the decision and return the report.
-
-    Closing twice is an error; the ledger stays append-only throughout.
-    """
+def decide(ledger: SessionLedger, decision) -> None:
+    """Move consent from pending to the decision; closing twice is an error."""
     if decision not in _DECISIONS:
-        raise ValidationError(
-            f"decision must be one of {_DECISIONS}, got {decision!r}"
-        )
+        raise ValidationError(f"decision must be one of {_DECISIONS}, got {decision!r}")
     if ledger.consent != CONSENT_PENDING:
         raise ValidationError(f"session already closed ({ledger.consent})")
     ledger.consent = decision
+
+
+def close_session(ledger: SessionLedger, decision: str) -> SessionReport:
+    """Decide the session's consent and return its report; events stay as they are."""
+    decide(ledger, decision)
     return build_report(ledger)
 
 
@@ -248,33 +244,30 @@ def _policy_payload(policy: PricingPolicy) -> dict:
     return {
         "c_p": str(policy.production_cost),
         "lambda": policy.rate_per_nat,
-        "lambda_unit": "per_nat",
+        "lambda_unit": PER_NAT,
         "pi_max": str(policy.max_penalty) if policy.max_penalty is not None else None,
         "currency": policy.currency,
     }
 
 
-def write_ledger(ledger: SessionLedger, path) -> None:
-    """Serialize header, events in order, and the closure line if closed."""
-    _, nats, surcharge = tally(ledger.events)
-    write_text(path, ledger_text(ledger, map(ledger_line, ledger.events), nats, surcharge))
+def _closure_totals(production_cost: Decimal, nats: float, surcharge: Decimal) -> dict:
+    """The totals a closure line states, from the events' summed leakage and surcharge."""
+    return {"total_leakage_nats": nats, "total_surcharge": surcharge,
+            "grand_total": quantize_money(production_cost + surcharge)}
 
 
-def ledger_text(ledger: SessionLedger, lines, nats: float, surcharge: Decimal):
-    """Yield a ledger file in pieces: the header, ``lines`` (the event lines),
-    and the closure line of these totals once the session is decided."""
+def write_ledger(ledger: SessionLedger, path, lines=None, totals=None) -> None:
+    """Serialize header, events in order, and the closure line if closed; the ledger
+    lines and :func:`build_report`'s ``totals`` of streamed events replace its own."""
+    nats, surcharge = tally(ledger.events)[1:] if totals is None else totals
     header = {"session": ledger.session_id, "policy": _policy_payload(ledger.policy),
               "consent": ledger.consent}
-    yield json.dumps(header) + "\n"
-    yield from lines
+    lines = map(ledger_line, ledger.events) if lines is None else lines
+    closure = []
     if ledger.consent != CONSENT_PENDING:
-        closure = {
-            "decision": ledger.consent,
-            "total_leakage_nats": nats,
-            "total_surcharge": str(surcharge),
-            "grand_total": str(quantize_money(ledger.policy.production_cost + surcharge)),
-        }
-        yield json.dumps(closure) + "\n"
+        totals = _closure_totals(ledger.policy.production_cost, nats, surcharge)
+        closure.append(json.dumps({"decision": ledger.consent, **totals}, default=str) + "\n")
+    write_text(path, chain([json.dumps(header) + "\n"], lines, closure))
 
 
 def read_ledger(path) -> SessionLedger:
@@ -307,6 +300,8 @@ def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
             max_penalty=raw_policy.get("pi_max"),
             currency=raw_policy.get("currency", "USD"),
         )
+        if raw_policy.get("lambda_unit", PER_NAT) != PER_NAT:
+            raise ValueError(f"lambda_unit must be {PER_NAT!r}, got {raw_policy['lambda_unit']!r}")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"{p}: malformed policy header: {exc}") from None
     except ValidationError as exc:
@@ -368,18 +363,15 @@ def _ledger_events(p: Path, records, consent: str,
                 f"{p}:{lineno}: closure decision {record.get('decision')!r} "
                 f"contradicts header consent {consent!r}"
             )
-        _check_closure_totals(f"{p}:{lineno}", record, {
-            "total_leakage_nats": Decimal(repr(total_nats)),
-            "total_surcharge": total_surcharge,
-            "grand_total": quantize_money(production_cost + total_surcharge),
-        })
+        _check_closure_totals(f"{p}:{lineno}", record,
+                              _closure_totals(production_cost, total_nats, total_surcharge))
     elif consent != CONSENT_PENDING:
         raise ParseError(f"{p}: consent is {consent!r} but no closure line found")
 
 
 def _check_closure_totals(where: str, record: dict, derived: dict) -> None:
     """Check each total the closure line states against the one ``derived``
-    from the events read, both as Decimal values."""
+    from the events read, both as Decimal values (a float by its shortest repr)."""
     try:
         if type(record["total_leakage_nats"]) not in (int, float):
             raise TypeError(f"total_leakage_nats must be a number, "
@@ -391,6 +383,7 @@ def _check_closure_totals(where: str, record: dict, derived: dict) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: malformed closure: {exc}") from None
     for key, value in derived.items():
+        value = Decimal(str(value))
         if stated[key] != value:
             raise ValidationError(
                 f"{where}: closure {key} {stated[key]} does not match {value} from the events"

@@ -45,6 +45,15 @@ def _fmt_money(amount) -> str:
     return str(quantize_money(amount))
 
 
+def _write_or_print(out_path, text: str, wrote: str) -> None:
+    """Write ``text`` to ``out_path`` and say ``wrote`` it there, or print it."""
+    if out_path:
+        schema_lib.write_text(out_path, [text])
+        print(f"wrote {wrote} to {out_path}")
+    else:
+        print(text, end="")
+
+
 def _handle_errors(command):
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
@@ -151,12 +160,7 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
             raise ValidationError(f"--bins is given twice for {name!r}")
         rules[name] = rule
     binned = schema_lib.discretize(samples, rules)
-    text = schema_lib.samples_to_csv(binned)
-    if out_path:
-        schema_lib.write_text(out_path, text)
-        print(f"wrote {binned.n} rows to {out_path}")
-    else:
-        print(text, end="")
+    _write_or_print(out_path, schema_lib.samples_to_csv(binned), f"{binned.n} rows")
 
 
 @main.command()
@@ -329,12 +333,7 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
     points = pricing.price_curve(policy, rule, start, stop, step, baseline)
     lines = ["leakage,value"]
     lines += [f"{_fmt_info(nats)},{_fmt_money(total)}" for nats, total in points]
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        schema_lib.write_text(out_path, text)
-        print(f"wrote {len(points)} points to {out_path}")
-    else:
-        print(text, end="")
+    _write_or_print(out_path, "\n".join(lines) + "\n", f"{len(points)} points")
 
 
 def _priced_events(path, ledger):
@@ -351,14 +350,10 @@ def _priced_events(path, ledger):
     for lineno, record in schema_lib.read_json_lines(p, "event"):
         if "decision" in record:
             schema_lib.check_keys(record, {"decision"}, f"{p}:{lineno}", "decision-line")
-            if ledger.consent != audit_lib.CONSENT_PENDING:
-                raise ValidationError(f"{p}:{lineno}: duplicate decision line")
-            if record["decision"] not in (audit_lib.CONSENT_GRANTED, audit_lib.CONSENT_DENIED):
-                raise ValidationError(
-                    f"{p}:{lineno}: decision must be granted or denied, "
-                    f"got {record['decision']!r}"
-                )
-            ledger.consent = record["decision"]
+            try:
+                audit_lib.decide(ledger, record["decision"])
+            except ValidationError as exc:
+                raise ValidationError(f"{p}:{lineno}: {exc}") from None
             continue
         if ledger.consent != audit_lib.CONSENT_PENDING:
             raise ValidationError(f"{p}:{lineno}: event after the decision line")
@@ -440,14 +435,16 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     # line and report row are spooled; the header needs the final consent
     with _spool() as lines, _spool() as rows:
         events = _spooled(_priced_events(events_path, ledger), rows, lines)
-        count, nats, surcharge = audit_lib.tally(events)
+        count, *totals = audit_lib.tally(events)
         if decision is not None:
-            if ledger.consent != audit_lib.CONSENT_PENDING:
-                raise ValidationError("decision given twice: in the stream and as --decision")
-            ledger.consent = decision
+            try:  # click has checked the value, so only a decided stream fails
+                audit_lib.decide(ledger, decision)
+            except ValidationError:
+                raise ValidationError("decision given twice: in the stream and "
+                                      "as --decision") from None
         elif ledger.consent == audit_lib.CONSENT_PENDING:
             raise ValidationError("the stream carries no decision line; pass --decision")
-        report = audit_lib.summarize(ledger, nats, surcharge)
+        report = audit_lib.build_report(ledger, totals)
         # recompute through the pricing layer; rounding drift is bounded by
         # half a minor unit per recorded event
         single_shot = pricing.price_linear(policy, report.total_leakage)
@@ -458,7 +455,7 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
                 f"pricing {single_shot.total} beyond {drift_bound}"
             )
         lines.seek(0)
-        schema_lib.write_text(ledger_path, audit_lib.ledger_text(ledger, lines, nats, surcharge))
+        audit_lib.write_ledger(ledger, ledger_path, lines, totals)
         _print_report(report, count, rows, fmt)
 
 
@@ -490,8 +487,8 @@ def report_cmd(ledger_path, fmt):
     ledger, events = audit_lib.iter_ledger(ledger_path)
     # rows wait in a spool until the closure line has been checked
     with _spool() as rows:
-        count, nats, surcharge = audit_lib.tally(_spooled(events, rows))
-        _print_report(audit_lib.summarize(ledger, nats, surcharge), count, rows, fmt)
+        count, *totals = audit_lib.tally(_spooled(events, rows))
+        _print_report(audit_lib.build_report(ledger, totals), count, rows, fmt)
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ class InfoQuantity:
             raise ValidationError(
                 f"unknown information unit {self.unit!r}; expected one of {_UNITS}"
             )
-        value = float(self.value)
+        value = float(self.value) + 0.0  # -0.0 becomes 0.0
         object.__setattr__(self, "value", value)
         if not math.isfinite(value):
             raise ValidationError(f"information value must be finite, got {value!r}")

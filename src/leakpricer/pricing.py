@@ -57,6 +57,13 @@ def to_decimal(amount) -> Decimal:
     return value
 
 
+def _float_rate(value, what: str) -> float:
+    """A rate as a float; a boolean is no number, as in :func:`to_decimal`."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def quantize_money(amount) -> Decimal:
     """Round onto the four-decimal money grid, ties to even."""
     value = to_decimal(amount)
@@ -95,12 +102,13 @@ class PricingPolicy:
                 "policy mixes a scalar rate with per-subset rates; declare one"
             )
         if self.rate_per_nat is not None:
-            rate = float(self.rate_per_nat)
+            rate = _float_rate(self.rate_per_nat, "rate")
             object.__setattr__(self, "rate_per_nat", rate)
             if not (math.isfinite(rate) and rate > 0):
                 raise ValidationError(f"rate must be strictly positive, got {rate!r}")
         if self.subset_rates_per_nat is not None:
-            rates = {str(k): float(v) for k, v in self.subset_rates_per_nat.items()}
+            rates = {str(k): _float_rate(v, f"rate for subset {str(k)!r}")
+                     for k, v in self.subset_rates_per_nat.items()}
             object.__setattr__(self, "subset_rates_per_nat", rates)
             if not rates:
                 raise ValidationError("per-subset rate map must not be empty")
@@ -370,8 +378,8 @@ def load_policy(path) -> PricingPolicy:
 
     def _number(value, key):
         try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
+            return _float_rate(value, key)
+        except (TypeError, ValueError, OverflowError, ValidationError):
             raise ValidationError(
                 f"{path}: {key} must be numeric, got {value!r}"
             ) from None

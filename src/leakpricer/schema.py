@@ -415,6 +415,8 @@ def _parse_attribute(entry, path) -> AttributeSpec:
                 f"{path}: continuous attribute {name!r} needs 'range: [lower, upper]'"
             )
         try:
+            if any(isinstance(bound, bool) for bound in bounds):  # no number, as in to_decimal
+                raise TypeError
             lower, upper = float(bounds[0]), float(bounds[1])
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
@@ -459,10 +461,10 @@ def read_chunks(path):
         decode(b"", True)
 
 
-def write_text(path, text) -> None:
-    """Write UTF-8 text, one string or an iterable of them, through a new file
-    beside ``path`` that then replaces it, so a failed write leaves neither a
-    partial file nor the new one; the failure is a ParseError naming ``path``."""
+def write_text(path, pieces) -> None:
+    """Write UTF-8 text, an iterable of strings, through a new file beside
+    ``path`` that then replaces it, so a failed write leaves neither a partial
+    file nor the new one; the failure is a ParseError naming ``path``."""
     import os
 
     p = Path(path)
@@ -470,10 +472,7 @@ def write_text(path, text) -> None:
     try:
         # "x" creates a new file with the umask's permissions and follows no link
         with open(tmp, "x", encoding="utf-8") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            fh.writelines(pieces)
         tmp.replace(p)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

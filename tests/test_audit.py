@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leakpricer import (
     AuditEvent,
@@ -543,14 +543,26 @@ class TestLedgerTemplates:
         value=st.floats(min_value=0.0, max_value=1e6),
         unit=st.sampled_from([NATS, BITS]),
     )
+    @example(rate=1.0, rate_unit=NATS, value=0.0, unit=NATS)
+    @example(rate=3.0, rate_unit=BITS, value=5e-324, unit=NATS)
+    @example(rate=1e12, rate_unit=NATS, value=1e-300, unit=BITS)
+    @example(rate=1e12, rate_unit=NATS, value=1e300, unit=NATS)  # off the money grid
     def test_once_converted_rate_prices_like_the_formula(self, rate, rate_unit, value, unit):
         policy = PricingPolicy(
             production_cost=Decimal("0"), rate_per_nat=convert_lambda(rate, rate_unit, NATS)
         )
         ledger = open_session(policy, session_id="s")
         leakage = InfoQuantity(value, unit)
-        expected = quantize_money(_linear_surcharge(policy.rate_per_nat, leakage.in_nats()))
+        try:
+            expected = quantize_money(_linear_surcharge(policy.rate_per_nat, leakage.in_nats()))
+        except ValidationError as exc:
+            assert "too large for the four-decimal grid" in str(exc)
+            expected = None
         # the second event is priced with the rate the first one converted
         for _ in range(2):
-            event = record_event(ledger, "obs", leakage, timestamp="t")
-            assert str(event.surcharge) == str(expected)
+            if expected is None:
+                with pytest.raises(ValidationError, match="too large for the four-decimal grid"):
+                    record_event(ledger, "obs", leakage, timestamp="t")
+            else:
+                event = record_event(ledger, "obs", leakage, timestamp="t")
+                assert str(event.surcharge) == str(expected)

@@ -302,6 +302,17 @@ class TestPriceCommand:
             "total = 360.0010 USD\n"
         )
 
+    def test_negative_zero_leakage_prices_as_zero(self, runner, data_dir):
+        out = ok(runner, "price", "--policy", data_dir / "policy_linear.yaml",
+                 "--leakage", "-0.0")
+        assert out == (
+            "rule = linear\n"
+            "leakage = 0.000000 nats\n"
+            "production = 0.0010 USD\n"
+            "surcharge = 0.0000 USD\n"
+            "total = 0.0010 USD\n"
+        )
+
     def test_linear_leakage_in_bits(self, runner, data_dir):
         doc = json.loads(
             ok(runner, "price", "--policy", data_dir / "policy_linear.yaml",
@@ -638,6 +649,33 @@ class TestAuditCommand:
         assert f"{events}:1: non-numeric leakage {shown}" in result.stderr
         assert not (tmp_path / "ledger.jsonl").exists()
 
+    def test_negative_zero_leakage_is_recorded_as_zero(self, runner, data_dir, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"observable": "o", "leakage": -0.0}\n{"decision": "granted"}\n')
+        ledger = tmp_path / "ledger.jsonl"
+        out = ok(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                 "--events", events, "--out", ledger)
+        assert '"leakage_nats": 0.0, "surcharge": "0.0000"' in ledger.read_text()
+        assert "-0.0" not in out
+        assert "  o                           0.000000      0.0000\n" in out
+
+    @pytest.mark.parametrize("lines, error", [
+        (['{"decision": "granted"}', '{"decision": "denied"}'],
+         "2: session already closed (granted)"),
+        (['{"decision": "maybe"}'],
+         "1: decision must be one of ('granted', 'denied'), got 'maybe'"),
+    ])
+    def test_bad_decision_line_exits_3_naming_its_line(
+        self, runner, data_dir, tmp_path, lines, error
+    ):
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "ledger.jsonl")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {events}:{error}\n"
+        assert not (tmp_path / "ledger.jsonl").exists()
+
     def test_bits_events_converted(self, runner, data_dir, tmp_path):
         events = tmp_path / "events.jsonl"
         events.write_text(
@@ -775,6 +813,17 @@ class TestReportCommand:
             result = invoke(CliRunner(), "report", "--ledger", ledger)
         assert result.exit_code == 3, result.output
         assert f"{ledger}:{len(lines)}: closure total_surcharge" in result.stderr
+
+    def test_header_rate_unit_other_than_per_nat_exits_2(self, runner, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(DEMO_LEDGER.replace('"per_nat"', '"per_bit"', 1))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: {ledger}: malformed policy header: "
+            "lambda_unit must be 'per_nat', got 'per_bit'\n"
+        )
+        assert result.stdout == ""
 
     def test_pending_ledger_has_no_report(self, runner, data_dir, tmp_path):
         from leakpricer import InfoQuantity, PricingPolicy, open_session, record_event
@@ -926,6 +975,30 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("args, text, error", [
+        (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: true\n",
+         ": lambda must be numeric, got True"),
+        (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: yes\n",
+         ": lambda must be numeric, got True"),
+        (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: {sex: on}\n",
+         ": lambda['sex'] must be numeric, got True"),
+        (["discretize", "--samples", "{data}/keystrokes.csv", "--schema"],
+         "attributes:\n  - {name: impairment, kind: continuous, range: [true, 2]}\n"
+         "observable: {name: keystroke_interval, kind: continuous, range: [0, 1000]}\n",
+         ": non-numeric range for attribute 'impairment': [True, 2]"),
+        (["report", "--ledger"],
+         '{"session": "s", "policy": {"c_p": "0", "lambda": true}, "consent": "granted"}\n'
+         '{"decision": "granted", "total_leakage_nats": 0.0, "total_surcharge": "0.0000", '
+         '"grand_total": "0.0000"}\n',
+         ":1: rate must be a number, got True"),
+    ], ids=["policy-true", "policy-yes", "subset-rate-on", "schema-range", "ledger-header"])
+    def test_boolean_where_a_number_is_read_exits_3(self, runner, tmp_path, args, text, error):
+        path = tmp_path / "input"
+        path.write_text(text)
+        result = invoke(runner, *(arg.format(data=DATA) for arg in args), path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {path}{error}\n"
 
     @pytest.mark.parametrize("flag", sorted(INPUT_FLAGS))
     def test_unreadable_input_exits_2_naming_the_file(self, runner, tmp_path, flag):

@@ -72,3 +72,28 @@ def test_weighted_price_computes_each_priced_subset_through_the_marginal_mi_bind
     assert result.exit_code == 0, result.output
     assert subsets == [[0], [1], [0, 1]]
     assert reports == []
+
+
+def test_audit_and_report_write_and_build_through_the_audit_bindings(
+    monkeypatch, tmp_path
+):
+    calls = []
+    for name in ("write_ledger", "build_report"):
+        plain = getattr(audit, name)
+        monkeypatch.setattr(
+            audit, name,
+            lambda *args, _plain=plain, _name=name: calls.append(_name) or _plain(*args),
+        )
+    data, ledger = ROOT / "data", tmp_path / "ledger.jsonl"
+    result = CliRunner().invoke(main, [
+        "audit", "--policy", str(data / "policy_calibrated.yaml"),
+        "--events", str(data / "events.jsonl"), "--out", str(ledger),
+    ])
+    assert result.exit_code == 0, result.output
+    assert calls == ["build_report", "write_ledger"]
+    assert ledger.stat().st_size > 0
+    calls.clear()
+    reported = CliRunner().invoke(main, ["report", "--ledger", str(ledger)])
+    assert reported.exit_code == 0, reported.output
+    assert reported.output == result.output
+    assert calls == ["build_report"]
