@@ -28,7 +28,7 @@ from .infotheory import (
     _exposure,
     _exposure_ratio,
 )
-from .schema import load_yaml_doc
+from .schema import _number, load_yaml_doc
 
 MONEY_QUANTUM = Decimal("0.0001")
 
@@ -105,7 +105,9 @@ class PricingPolicy:
             rate = _float_rate(self.rate_per_nat, "rate")
             object.__setattr__(self, "rate_per_nat", rate)
             if not (math.isfinite(rate) and rate > 0):
-                raise ValidationError(f"rate must be strictly positive, got {rate!r}")
+                raise ValidationError(
+                    f"rate must be finite and strictly positive, got {rate!r}"
+                )
         if self.subset_rates_per_nat is not None:
             rates = {str(k): _float_rate(v, f"rate for subset {str(k)!r}")
                      for k, v in self.subset_rates_per_nat.items()}
@@ -263,7 +265,7 @@ def convert_lambda(
                 f"unknown rate unit {unit!r}; expected {NATS!r} or {BITS!r}"
             )
     if not (math.isfinite(rate) and rate > 0):
-        raise ValidationError(f"rate must be strictly positive, got {rate!r}")
+        raise ValidationError(f"rate must be finite and strictly positive, got {rate!r}")
     factor = 1.0
     if from_unit == NATS and to_unit == BITS:
         factor = LN2
@@ -376,26 +378,17 @@ def load_policy(path) -> PricingPolicy:
             f"{path}: lambda_unit must be {PER_NAT!r} or {PER_BIT!r}, got {unit!r}"
         )
 
-    def _number(value, key):
-        try:
-            return _float_rate(value, key)
-        except (TypeError, ValueError, OverflowError, ValidationError):
-            raise ValidationError(
-                f"{path}: {key} must be numeric, got {value!r}"
-            ) from None
-
     # a per-bit rate charges more per nat (lambda_b / ln 2 > lambda_b):
     # divide by ln 2 to store per nat
     scale = 1.0 if unit == PER_NAT else 1.0 / LN2
     raw_rate = doc.get("lambda")
-    rate = None
-    subset_rates = None
+    rate = subset_rates = None
     if isinstance(raw_rate, dict):
         subset_rates = {
-            str(k): _number(v, f"lambda[{k!r}]") * scale for k, v in raw_rate.items()
+            k: _number(v, f"{path}: lambda[{k!r}]") * scale for k, v in raw_rate.items()
         }
     elif raw_rate is not None:
-        rate = _number(raw_rate, "lambda") * scale
+        rate = _number(raw_rate, f"{path}: lambda") * scale
     try:
         return PricingPolicy(
             production_cost=doc["c_p"],

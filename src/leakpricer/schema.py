@@ -28,6 +28,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -77,11 +78,13 @@ class AttributeSpec:
     upper: float = math.nan
 
     def __post_init__(self) -> None:
-        if not str(self.name).strip():
-            raise ValidationError("attribute name must be non-empty")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ValidationError(f"attribute name must be non-empty text, got {self.name!r}")
         if self.kind == CATEGORICAL:
-            levels = tuple(str(v) for v in self.levels)
+            levels = tuple(self.levels)
             object.__setattr__(self, "levels", levels)
+            if not all(isinstance(level, str) for level in levels):
+                raise ValidationError(f"{self.name}: levels must be text, got {list(levels)}")
             if not levels:
                 raise ValidationError(
                     f"{self.name}: categorical attribute needs at least one level"
@@ -130,7 +133,7 @@ class ProfileSchema:
             raise ValidationError(
                 f"attribute names must be unique; duplicated: {duplicated}"
             )
-        joined = [a.name for a in self.attributes if LABEL_SEP in str(a.name)]
+        joined = [a.name for a in self.attributes if LABEL_SEP in a.name]
         if joined:
             raise ValidationError(
                 f"protected attribute name {joined[0]!r} contains {LABEL_SEP!r}, "
@@ -407,23 +410,25 @@ def _parse_attribute(entry, path) -> AttributeSpec:
             raise ValidationError(
                 f"{path}: categorical attribute {name!r} needs a non-empty 'levels' list"
             )
-        return AttributeSpec.categorical(str(name), [str(v) for v in levels])
+        return AttributeSpec.categorical(name, levels)
     if kind == CONTINUOUS:
         bounds = entry.get("range")
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ValidationError(
                 f"{path}: continuous attribute {name!r} needs 'range: [lower, upper]'"
             )
-        try:
-            if any(isinstance(bound, bool) for bound in bounds):  # no number, as in to_decimal
-                raise TypeError
-            lower, upper = float(bounds[0]), float(bounds[1])
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"{path}: non-numeric range for attribute {name!r}: {bounds!r}"
-            ) from None
-        return AttributeSpec.continuous(str(name), lower, upper)
+        what = f"{path}: range of attribute {name!r}"
+        return AttributeSpec.continuous(name, _number(bounds[0], what), _number(bounds[1], what))
     raise ValidationError(f"{path}: attribute {name!r} has unknown kind {kind!r}")
+
+
+def _number(text, what: str) -> float:
+    """The number a YAML scalar spells, as ``float()`` reads its text; any
+    other value is a ValidationError saying ``what`` must be numeric."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {text!r}") from None
 
 
 @contextlib.contextmanager
@@ -545,15 +550,42 @@ def read_json_lines(path, what: str):
         yield lineno, record
 
 
+def _text_mapping(loader, node) -> dict:
+    mapping = {}
+    for key_node, value_node in node.value:
+        key = loader.construct_scalar(key_node)  # a key's text as written; no list or map
+        if key in mapping:
+            raise ParseError(f"{key_node.start_mark.line + 1}: repeated key {key!r}")
+        mapping[key] = loader.construct_object(value_node)
+    return mapping
+
+
 def load_yaml_doc(path, what: str, known) -> dict:
     """Read a YAML document (JSON included) that must be a mapping with keys
-    in ``known``; unreadable YAML is a ParseError, a wrong shape or key a
-    ValidationError."""
+    in ``known``. Each scalar is the text written, except that a plain ``null``,
+    ``~`` or empty value is None; each key is text and appears once. Unreadable
+    YAML is a ParseError naming the line, a wrong shape or key a ValidationError."""
+    text = "".join(read_lines(path))
+    # libyaml's loader, where present, is faster and fails deep nesting in milliseconds
+    base = yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader
+    loader = type("TextLoader", (base,), {"construct_mapping": _text_mapping})
+    null = "tag:yaml.org,2002:null"
+    loader.add_implicit_resolver(null, re.compile("^(?:~|null|Null|NULL|)$"), [*"~nN", ""])
+    loader.add_constructor(null, lambda loader, node: None)
     try:
-        doc = yaml.safe_load("".join(read_lines(path)))
-    # PyYAML raises ValueError on an impossible date and RecursionError on deep nesting
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid document: {exc}") from None
+        doc = yaml.load(text, loader)
+    except ParseError as exc:  # a repeated key, worded with its line by _text_mapping
+        raise ParseError(f"{path}:{exc}") from None
+    except yaml.MarkedYAMLError as exc:
+        line = (exc.problem_mark or exc.context_mark).line + 1
+        problem = ": ".join(filter(None, [exc.context, exc.problem]))
+        raise ParseError(f"{path}:{line}: invalid document: {problem}") from None
+    except yaml.reader.ReaderError as exc:
+        line = text.count("\n", 0, text.index(chr(exc.character))) + 1
+        raise ParseError(f"{path}:{line}: invalid document: unacceptable character "
+                         f"#x{exc.character:04x}: {exc.reason}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid document: nested too deeply") from None
     if doc is None:
         raise ParseError(f"{path}: empty document")
     if not isinstance(doc, dict):
@@ -563,10 +595,10 @@ def load_yaml_doc(path, what: str, known) -> dict:
 
 
 def check_keys(mapping: dict, known, where: str, what: str) -> None:
-    """Reject the first unknown key by its text; YAML keys need not be strings."""
+    """Reject the first unknown key in text order."""
     unknown = [key for key in mapping if key not in known]
     if unknown:
-        raise ValidationError(f"{where}: unknown {what} key {min(unknown, key=str)!r}")
+        raise ValidationError(f"{where}: unknown {what} key {min(unknown)!r}")
 
 
 def load_samples(path, schema: ProfileSchema) -> SampleSet:

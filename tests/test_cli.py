@@ -962,6 +962,93 @@ FLOAT_FLAGS = [
 ]
 
 
+class TestYamlInputs:
+    def test_clock_and_boolean_word_levels_estimate(self, yaml_loader, runner, tmp_path):
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(
+            "attributes:\n  - {name: smoker, kind: categorical, levels: [yes, no]}\n"
+            "observable: {name: clock, kind: categorical, levels: [09:30, 17:45, 0123]}\n"
+        )
+        samples = tmp_path / "samples.csv"
+        samples.write_text("smoker,clock\nyes,09:30\nno,17:45\nyes,0123\nno,09:30\n")
+        out = ok(runner, "estimate", "--schema", schema, "--samples", samples)
+        assert "method = plug-in-counts" in out
+
+    @pytest.mark.parametrize("args, text, error", [
+        (["price", "--leakage", "0.036", "--policy"],
+         "c_p: 0.001\nlambda: 10000\nlambda: 1\n", ":3: repeated key 'lambda'"),
+        (["price", "--leakage", "0.036", "--policy"],
+         "c_p: 0.001\nlambda:\n  sex: 1\n  sex: 2\n", ":4: repeated key 'sex'"),
+        (["estimate", "--samples", "{data}/keystrokes.csv", "--schema"],
+         "attributes:\n  - {name: a, kind: categorical, levels: [x], name: b}\n",
+         ":2: repeated key 'name'"),
+    ], ids=["policy", "subset-rates", "schema-attribute"])
+    def test_repeated_key_exits_2_naming_its_line(self, yaml_loader, runner, tmp_path,
+                                                  args, text, error):
+        path = tmp_path / "input.yaml"
+        path.write_text(text)
+        result = invoke(runner, *(arg.format(data=DATA) for arg in args), path)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path}{error}\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("c_p: [0.001\n", 2), ("c_p: 0.001\n  lambda: 1\n", 2),
+        ("c_p: 0.001\nlambda: \x01\n", 2), ("c_p: *rate\n", 1),
+    ], ids=["unclosed", "indent", "control-character", "alias"])
+    def test_invalid_document_names_its_line(self, yaml_loader, runner, tmp_path, text, line):
+        path = tmp_path / "policy.yaml"
+        path.write_text(text)
+        result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: {path}:{line}: invalid document: ")
+        assert result.stderr.count("\n") == 1
+        assert "<unicode string>" not in result.stderr
+
+    def test_deep_nesting_exits_2(self, yaml_loader, runner, tmp_path):
+        path = tmp_path / "policy.yaml"
+        path.write_text("[" * 1000 + "]" * 1000)
+        result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {path}: invalid document: nested too deeply\n"
+
+    # a key is text as written, so ~ is no null there, and keys sort as text
+    @pytest.mark.parametrize("text, key", [("~: 1\nx: 2\n", "x"), ("c_p: 0\n~: 1\n", "~")])
+    def test_null_key_is_an_unknown_key(self, yaml_loader, runner, tmp_path, text, key):
+        path = tmp_path / "policy.yaml"
+        path.write_text(text)
+        result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {path}: unknown policy key {key!r}\n"
+
+    @pytest.mark.parametrize("text, error", [
+        ("c_p: 0\nlambda: 0x10\n", ": lambda must be numeric, got '0x10'"),
+        ("c_p: 0\nlambda: inf\n", ": rate must be finite and strictly positive, got inf"),
+        ("c_p: 0\nlambda: true\n", ": lambda must be numeric, got 'true'"),
+    ], ids=["hex", "inf", "true"])
+    def test_refused_rate_exits_3(self, yaml_loader, runner, tmp_path, text, error):
+        path = tmp_path / "policy.yaml"
+        path.write_text(text)
+        result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {path}{error}\n"
+
+    def test_octal_looking_rate_is_decimal(self, yaml_loader, runner, tmp_path):
+        path = tmp_path / "policy.yaml"
+        path.write_text("c_p: 0\nlambda: 0123\n")
+        out = ok(runner, "price", "--leakage", "1", "--policy", path, "--format", "machine")
+        assert json.loads(out)["surcharge"] == "123.0000"
+
+    def test_production_cost_is_recorded_as_written(self, yaml_loader, runner, data_dir,
+                                                    tmp_path):
+        policy, ledger = tmp_path / "policy.yaml", tmp_path / "ledger.jsonl"
+        policy.write_text("c_p: 0.10\nlambda: 10000\n")
+        ok(runner, "audit", "--policy", policy, "--events", data_dir / "events.jsonl",
+           "--out", ledger)
+        header = json.loads(ledger.read_text().splitlines()[0])
+        assert header["policy"]["c_p"] == "0.10"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -978,15 +1065,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, text, error", [
         (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: true\n",
-         ": lambda must be numeric, got True"),
+         ": lambda must be numeric, got 'true'"),
         (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: yes\n",
-         ": lambda must be numeric, got True"),
+         ": lambda must be numeric, got 'yes'"),
         (["price", "--leakage", "0.5", "--policy"], "c_p: 0\nlambda: {sex: on}\n",
-         ": lambda['sex'] must be numeric, got True"),
+         ": lambda['sex'] must be numeric, got 'on'"),
         (["discretize", "--samples", "{data}/keystrokes.csv", "--schema"],
          "attributes:\n  - {name: impairment, kind: continuous, range: [true, 2]}\n"
          "observable: {name: keystroke_interval, kind: continuous, range: [0, 1000]}\n",
-         ": non-numeric range for attribute 'impairment': [True, 2]"),
+         ": range of attribute 'impairment' must be numeric, got 'true'"),
         (["report", "--ledger"],
          '{"session": "s", "policy": {"c_p": "0", "lambda": true}, "consent": "granted"}\n'
          '{"decision": "granted", "total_leakage_nats": 0.0, "total_surcharge": "0.0000", '

@@ -98,6 +98,13 @@ class TestPricingPolicy:
         with pytest.raises(ValidationError, match="strictly positive"):
             linear_policy(rate=0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_is_called_not_finite(self, rate):
+        with pytest.raises(ValidationError, match="rate must be finite and strictly positive"):
+            linear_policy(rate=rate)
+        with pytest.raises(ValidationError, match="rate must be finite and strictly positive"):
+            convert_lambda(rate, NATS, BITS)
+
     def test_map_rates_may_be_zero_but_not_negative(self):
         ok = PricingPolicy(
             production_cost=Decimal("0"),
@@ -509,7 +516,7 @@ class TestPolicyFile:
             load_policy(path)
 
     @pytest.mark.parametrize("value, shown", [
-        ("null", "None"), ("5", "5"), ("[x]", "['x']"), ('""', "''"), ("' '", "' '"),
+        ("null", "None"), ("[x]", "['x']"), ('""', "''"), ("' '", "' '"),
     ])
     def test_currency_must_be_a_non_blank_string(self, tmp_path, value, shown):
         path = tmp_path / "policy.yaml"
@@ -517,3 +524,36 @@ class TestPolicyFile:
         with pytest.raises(ValidationError) as raised:
             load_policy(path)
         assert str(raised.value) == f"{path}: currency must be a non-blank string, got {shown}"
+
+    def test_currency_is_the_text_written(self, yaml_loader, tmp_path):
+        path = tmp_path / "policy.yaml"
+        path.write_text("c_p: 0.1\nlambda: 1\ncurrency: 5\n")
+        assert load_policy(path).currency == "5"
+
+    # each spelling float() reads; 0123 is decimal, not YAML 1.1 octal
+    @pytest.mark.parametrize("spelling, rate", [
+        ("0123", 123.0), ("1e4", 10_000.0), ("10_000", 10_000.0), ("'100'", 100.0),
+        ("2.5", 2.5),
+    ])
+    def test_rate_spellings_read_by_float(self, yaml_loader, tmp_path, spelling, rate):
+        path = tmp_path / "policy.yaml"
+        path.write_text(f"c_p: 0\nlambda: {spelling}\n")
+        assert load_policy(path).rate_per_nat == rate
+        path.write_text(f"c_p: 0\nlambda: {{sex: {spelling}}}\n")
+        assert load_policy(path).subset_rates_per_nat == {"sex": rate}
+
+    # hexadecimal, octal, base 60 and YAML's own infinity are YAML 1.1 numbers only
+    @pytest.mark.parametrize("spelling", ["0x10", "0o17", "1:30", ".inf"])
+    def test_rate_spellings_float_refuses(self, yaml_loader, tmp_path, spelling):
+        path = tmp_path / "policy.yaml"
+        path.write_text(f"c_p: 0\nlambda: {spelling}\n")
+        with pytest.raises(ValidationError) as raised:
+            load_policy(path)
+        assert str(raised.value) == f"{path}: lambda must be numeric, got {spelling!r}"
+
+    def test_money_is_the_decimal_written(self, yaml_loader, tmp_path):
+        path = tmp_path / "policy.yaml"
+        path.write_text("c_p: 0.10\nlambda: 1\npi_max: 1e3\n")
+        policy = load_policy(path)
+        assert str(policy.production_cost) == "0.10"
+        assert str(policy.max_penalty) == "1E+3"

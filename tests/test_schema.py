@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from leakpricer import (
     AttributeSpec,
@@ -23,7 +24,13 @@ from leakpricer import (
     load_schema,
     samples_to_csv,
 )
-from leakpricer.schema import read_csv_rows, read_json_lines, read_lines, write_text
+from leakpricer.schema import (
+    load_yaml_doc,
+    read_csv_rows,
+    read_json_lines,
+    read_lines,
+    write_text,
+)
 
 import oracles
 
@@ -318,12 +325,15 @@ class TestSchemaFile:
 
     def test_bad_yaml_is_parse_error(self, tmp_path):
         doc = tmp_path / "schema.yaml"
-        # PyYAML fails on the last two with ValueError and RecursionError
-        for text in ("attributes: [unclosed\n", "attributes: 2001-13-01\n",
-                     "[" * 800 + "]" * 800):
+        # PyYAML fails on the last one with RecursionError
+        for text in ("attributes: [unclosed\n", "[" * 800 + "]" * 800):
             doc.write_text(text)
             with pytest.raises(ParseError, match="invalid document"):
                 load_schema(doc)
+        # an impossible date is text, so this is a wrong shape
+        doc.write_text("attributes: 2001-13-01\n")
+        with pytest.raises(ValidationError, match="'attributes' must be a non-empty list"):
+            load_schema(doc)
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = tmp_path / "schema.yaml"
@@ -334,6 +344,63 @@ class TestSchemaFile:
         )
         with pytest.raises(ValidationError, match="unknown schema key"):
             load_schema(doc)
+
+
+# plain scalars that YAML 1.1 would type as a number, boolean, date or time
+AMBIGUOUS_SPELLINGS = st.sampled_from([
+    "0123", "0x10", "0o17", "0b101", "+12", "-0", "1e4", "10_000", "1_0.5", ".inf",
+    "-.Inf", ".NaN", "yes", "no", "on", "off", "Yes", "OFF", "true", "False", "y",
+    "2001-13-01", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "190:20:30", "=",
+]) | st.builds("{:02d}:{:02d}".format, st.integers(0, 99), st.integers(0, 59))
+
+
+def categorical_schema_doc(levels) -> str:
+    return (
+        "attributes:\n  - name: g\n    kind: categorical\n    levels:\n"
+        + "".join(f"      - {level}\n" for level in levels)
+        + "observable: {name: o, kind: categorical, levels: [a]}\n"
+    )
+
+
+class TestYamlReader:
+    def test_each_loader_is_the_one_used(self, yaml_loader, monkeypatch, tmp_path):
+        used, load = [], yaml.load
+
+        def spy(text, loader):
+            used.append(loader)
+            return load(text, loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("a: 1\n")
+        assert load_yaml_doc(doc, "test", {"a"}) == {"a": "1"}
+        assert [loader.__mro__[1].__name__ for loader in used] == [yaml_loader]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(levels=st.lists(AMBIGUOUS_SPELLINGS, min_size=1, max_size=6, unique=True))
+    def test_levels_load_as_written(self, yaml_loader, levels):
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "schema.yaml"
+            doc.write_text(categorical_schema_doc(levels))
+            assert load_schema(doc).attributes[0].levels == tuple(levels)
+
+    def test_a_level_spelled_null_is_refused(self, yaml_loader, tmp_path):
+        doc = tmp_path / "schema.yaml"
+        doc.write_text(categorical_schema_doc(["a", "null"]))
+        with pytest.raises(ValidationError, match=r"levels must be text, got \['a', None\]"):
+            load_schema(doc)
+        doc.write_text(categorical_schema_doc(["a", "'null'"]))
+        assert load_schema(doc).attributes[0].levels == ("a", "null")
+
+    @pytest.mark.parametrize("text, value", [
+        ("a: null\n", None), ("a: ~\n", None), ("a:\n", None), ("a: ''\n", ""),
+        ("a: 'null'\n", "null"), ("a: NULL\n", None), ("a: nil\n", "nil"),
+    ])
+    def test_only_a_plain_null_is_none(self, yaml_loader, tmp_path, text, value):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(text)
+        assert load_yaml_doc(doc, "test", {"a"}) == {"a": value}
 
 
 class TestSampleFile:
