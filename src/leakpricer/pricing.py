@@ -105,9 +105,7 @@ class PricingPolicy:
             rate = _float_rate(self.rate_per_nat, "rate")
             object.__setattr__(self, "rate_per_nat", rate)
             if not (math.isfinite(rate) and rate > 0):
-                raise ValidationError(
-                    f"rate must be finite and strictly positive, got {rate!r}"
-                )
+                raise ValidationError(f"rate must be finite and strictly positive, got {rate!r}")
         if self.subset_rates_per_nat is not None:
             rates = {str(k): _float_rate(v, f"rate for subset {str(k)!r}")
                      for k, v in self.subset_rates_per_nat.items()}
@@ -340,18 +338,11 @@ def price_curve(
 
 
 def _check_constant_slope(points) -> None:
-    if len(points) < 3:
-        return
-    slopes = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        slopes.append(float(y1 - y0) / (x1 - x0))
-    reference = slopes[0]
-    scale = max(1.0, abs(reference))
+    slopes = [float(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
     for slope in slopes[1:]:
-        if abs(slope - reference) > 1e-9 * scale:
+        if abs(slope - slopes[0]) > 1e-9 * max(1.0, abs(slopes[0])):
             raise ValidationError(
-                f"price curve lost linearity: slope drifted from {reference!r} "
-                f"to {slope!r}"
+                f"price curve lost linearity: slope drifted from {slopes[0]!r} to {slope!r}"
             )
 
 
@@ -367,9 +358,7 @@ def load_policy(path) -> PricingPolicy:
     ``pi_max``, ``currency``. Per-bit rates are
     converted to per-nat on load; everything downstream is per nat.
     """
-    doc = load_yaml_doc(
-        path, "policy", {"c_p", "lambda", "lambda_unit", "pi_max", "currency"}
-    )
+    doc = load_yaml_doc(path, "policy", {"c_p", "lambda", "lambda_unit", "pi_max", "currency"})
     if "c_p" not in doc:
         raise ValidationError(f"{path}: policy must declare the production cost c_p")
     unit = doc.get("lambda_unit", PER_NAT)
@@ -381,14 +370,12 @@ def load_policy(path) -> PricingPolicy:
     # a per-bit rate charges more per nat (lambda_b / ln 2 > lambda_b):
     # divide by ln 2 to store per nat
     scale = 1.0 if unit == PER_NAT else 1.0 / LN2
-    raw_rate = doc.get("lambda")
+    raw = doc.get("lambda")
     rate = subset_rates = None
-    if isinstance(raw_rate, dict):
-        subset_rates = {
-            k: _number(v, f"{path}: lambda[{k!r}]") * scale for k, v in raw_rate.items()
-        }
-    elif raw_rate is not None:
-        rate = _number(raw_rate, f"{path}: lambda") * scale
+    if isinstance(raw, dict):
+        subset_rates = {k: _number(v, f"{path}: lambda[{k!r}]") * scale for k, v in raw.items()}
+    elif raw is not None:
+        rate = _number(raw, f"{path}: lambda") * scale
     try:
         return PricingPolicy(
             production_cost=doc["c_p"],

@@ -28,7 +28,6 @@ import importlib.util
 import itertools
 import json
 import math
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -391,40 +390,36 @@ def load_schema(path) -> ProfileSchema:
         raise ValidationError(f"{path}: 'attributes' must be a non-empty list")
     if "observable" not in doc:
         raise ValidationError(f"{path}: schema must declare an 'observable'")
-    attributes = tuple(_parse_attribute(entry, path) for entry in raw_attrs)
-    observable = _parse_attribute(doc["observable"], path)
-    return ProfileSchema(attributes=attributes, observable=observable)
+    try:
+        specs = [_parse_attribute(entry) for entry in [*raw_attrs, doc["observable"]]]
+        return ProfileSchema(attributes=tuple(specs[:-1]), observable=specs[-1])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_attribute(entry, path) -> AttributeSpec:
+def _parse_attribute(entry) -> AttributeSpec:
     if not isinstance(entry, dict):
-        raise ValidationError(f"{path}: attribute entry must be a mapping, got {entry!r}")
-    check_keys(entry, {"name", "kind", "levels", "range"}, path, "attribute")
-    name = entry.get("name")
-    kind = entry.get("kind")
-    if not name or not kind:
-        raise ValidationError(f"{path}: attribute entry needs 'name' and 'kind'")
+        raise ValidationError(f"attribute entry must be a mapping, got {entry!r}")
+    name, kind = entry.get("name"), entry.get("kind")
+    check_keys(entry, {"name", "kind", "levels", "range"}, f"attribute {name!r}", "attribute")
     if kind == CATEGORICAL:
         levels = entry.get("levels")
         if not isinstance(levels, list) or not levels:
             raise ValidationError(
-                f"{path}: categorical attribute {name!r} needs a non-empty 'levels' list"
+                f"categorical attribute {name!r} needs a non-empty 'levels' list"
             )
         return AttributeSpec.categorical(name, levels)
     if kind == CONTINUOUS:
         bounds = entry.get("range")
         if not isinstance(bounds, list) or len(bounds) != 2:
-            raise ValidationError(
-                f"{path}: continuous attribute {name!r} needs 'range: [lower, upper]'"
-            )
-        what = f"{path}: range of attribute {name!r}"
+            raise ValidationError(f"continuous attribute {name!r} needs 'range: [lower, upper]'")
+        what = f"range of attribute {name!r}"
         return AttributeSpec.continuous(name, _number(bounds[0], what), _number(bounds[1], what))
-    raise ValidationError(f"{path}: attribute {name!r} has unknown kind {kind!r}")
+    raise ValidationError(f"attribute {name!r} has unknown kind {kind!r}")
 
 
 def _number(text, what: str) -> float:
-    """The number a YAML scalar spells, as ``float()`` reads its text; any
-    other value is a ValidationError saying ``what`` must be numeric."""
+    """``float()`` of a scalar's text; anything else is a ValidationError naming ``what``."""
     try:
         return float(text)
     except (TypeError, ValueError):
@@ -550,40 +545,33 @@ def read_json_lines(path, what: str):
         yield lineno, record
 
 
-def _text_mapping(loader, node) -> dict:
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_scalar(key_node)  # a key's text as written; no list or map
-        if key in mapping:
-            raise ParseError(f"{key_node.start_mark.line + 1}: repeated key {key!r}")
-        mapping[key] = loader.construct_object(value_node)
-    return mapping
-
-
 def load_yaml_doc(path, what: str, known) -> dict:
-    """Read a YAML document (JSON included) that must be a mapping with keys
-    in ``known``. Each scalar is the text written, except that a plain ``null``,
-    ``~`` or empty value is None; each key is text and appears once. Unreadable
-    YAML is a ParseError naming the line, a wrong shape or key a ValidationError."""
+    """Read a YAML (or JSON) mapping with keys in ``known``, each key text and given once,
+    each other scalar its text or, if a plain ``null``, ``~`` or empty, None. Bad YAML is a
+    ParseError naming its line; a wrong shape or key is a ValidationError."""
     text = "".join(read_lines(path))
-    # libyaml's loader, where present, is faster and fails deep nesting in milliseconds
-    base = yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader
-    loader = type("TextLoader", (base,), {"construct_mapping": _text_mapping})
-    null = "tag:yaml.org,2002:null"
-    loader.add_implicit_resolver(null, re.compile("^(?:~|null|Null|NULL|)$"), [*"~nN", ""])
-    loader.add_constructor(null, lambda loader, node: None)
+    def text_mapping(loader, node) -> dict:
+        mapping = {}
+        for key_node, value_node in node.value:
+            key = loader.construct_scalar(key_node)  # text as written; a list or map is an error
+            if key in mapping:
+                raise ParseError(f"{path}:{key_node.start_mark.line + 1}: repeated key {key!r}")
+            mapping[key] = loader.construct_object(value_node)
+        return mapping
+
+    loader = type("TextLoader", (yaml.BaseLoader,), {"construct_mapping": text_mapping})
+    # YAML's null as yaml.safe_load resolves it: ~, null, Null, NULL or nothing
+    loader.add_implicit_resolver(*yaml.SafeLoader.yaml_implicit_resolvers["~"][0], [*"~nN", ""])
+    loader.add_constructor("tag:yaml.org,2002:null", lambda loader, node: None)
     try:
         doc = yaml.load(text, loader)
-    except ParseError as exc:  # a repeated key, worded with its line by _text_mapping
-        raise ParseError(f"{path}:{exc}") from None
     except yaml.MarkedYAMLError as exc:
         line = (exc.problem_mark or exc.context_mark).line + 1
         problem = ": ".join(filter(None, [exc.context, exc.problem]))
         raise ParseError(f"{path}:{line}: invalid document: {problem}") from None
-    except yaml.reader.ReaderError as exc:
-        line = text.count("\n", 0, text.index(chr(exc.character))) + 1
-        raise ParseError(f"{path}:{line}: invalid document: unacceptable character "
-                         f"#x{exc.character:04x}: {exc.reason}") from None
+    except yaml.reader.ReaderError as exc:  # a character YAML refuses, found before parsing
+        line = text.count("\n", 0, exc.position) + 1
+        raise ParseError(f"{path}:{line}: invalid document: {str(exc).splitlines()[0]}") from None
     except RecursionError:
         raise ParseError(f"{path}: invalid document: nested too deeply") from None
     if doc is None:

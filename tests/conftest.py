@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from leakpricer import (
     AttributeSpec,
@@ -19,17 +18,6 @@ import oracles
 @pytest.fixture
 def data_dir() -> Path:
     return Path(__file__).resolve().parent.parent / "data"
-
-
-@pytest.fixture(params=["BaseLoader", "CBaseLoader"])
-def yaml_loader(request, monkeypatch) -> str:
-    """Read every YAML input of the test through PyYAML's pure-Python loader,
-    then through libyaml's, which is skipped only where libyaml is absent."""
-    libyaml = request.param == "CBaseLoader"
-    if libyaml and not yaml.__with_libyaml__:
-        pytest.skip("libyaml is absent")
-    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
-    return request.param
 
 
 @pytest.fixture

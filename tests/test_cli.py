@@ -963,7 +963,7 @@ FLOAT_FLAGS = [
 
 
 class TestYamlInputs:
-    def test_clock_and_boolean_word_levels_estimate(self, yaml_loader, runner, tmp_path):
+    def test_clock_and_boolean_word_levels_estimate(self, runner, tmp_path):
         schema = tmp_path / "schema.yaml"
         schema.write_text(
             "attributes:\n  - {name: smoker, kind: categorical, levels: [yes, no]}\n"
@@ -983,7 +983,7 @@ class TestYamlInputs:
          "attributes:\n  - {name: a, kind: categorical, levels: [x], name: b}\n",
          ":2: repeated key 'name'"),
     ], ids=["policy", "subset-rates", "schema-attribute"])
-    def test_repeated_key_exits_2_naming_its_line(self, yaml_loader, runner, tmp_path,
+    def test_repeated_key_exits_2_naming_its_line(self, runner, tmp_path,
                                                   args, text, error):
         path = tmp_path / "input.yaml"
         path.write_text(text)
@@ -996,7 +996,7 @@ class TestYamlInputs:
         ("c_p: [0.001\n", 2), ("c_p: 0.001\n  lambda: 1\n", 2),
         ("c_p: 0.001\nlambda: \x01\n", 2), ("c_p: *rate\n", 1),
     ], ids=["unclosed", "indent", "control-character", "alias"])
-    def test_invalid_document_names_its_line(self, yaml_loader, runner, tmp_path, text, line):
+    def test_invalid_document_names_its_line(self, runner, tmp_path, text, line):
         path = tmp_path / "policy.yaml"
         path.write_text(text)
         result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
@@ -1005,16 +1005,17 @@ class TestYamlInputs:
         assert result.stderr.count("\n") == 1
         assert "<unicode string>" not in result.stderr
 
-    def test_deep_nesting_exits_2(self, yaml_loader, runner, tmp_path):
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_deep_nesting_exits_2(self, runner, tmp_path, depth):
         path = tmp_path / "policy.yaml"
-        path.write_text("[" * 1000 + "]" * 1000)
+        path.write_text("[" * depth + "]" * depth)
         result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {path}: invalid document: nested too deeply\n"
 
     # a key is text as written, so ~ is no null there, and keys sort as text
     @pytest.mark.parametrize("text, key", [("~: 1\nx: 2\n", "x"), ("c_p: 0\n~: 1\n", "~")])
-    def test_null_key_is_an_unknown_key(self, yaml_loader, runner, tmp_path, text, key):
+    def test_null_key_is_an_unknown_key(self, runner, tmp_path, text, key):
         path = tmp_path / "policy.yaml"
         path.write_text(text)
         result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
@@ -1026,20 +1027,20 @@ class TestYamlInputs:
         ("c_p: 0\nlambda: inf\n", ": rate must be finite and strictly positive, got inf"),
         ("c_p: 0\nlambda: true\n", ": lambda must be numeric, got 'true'"),
     ], ids=["hex", "inf", "true"])
-    def test_refused_rate_exits_3(self, yaml_loader, runner, tmp_path, text, error):
+    def test_refused_rate_exits_3(self, runner, tmp_path, text, error):
         path = tmp_path / "policy.yaml"
         path.write_text(text)
         result = invoke(runner, "price", "--leakage", "0.036", "--policy", path)
         assert result.exit_code == 3, result.output
         assert result.stderr == f"error: {path}{error}\n"
 
-    def test_octal_looking_rate_is_decimal(self, yaml_loader, runner, tmp_path):
+    def test_octal_looking_rate_is_decimal(self, runner, tmp_path):
         path = tmp_path / "policy.yaml"
         path.write_text("c_p: 0\nlambda: 0123\n")
         out = ok(runner, "price", "--leakage", "1", "--policy", path, "--format", "machine")
         assert json.loads(out)["surcharge"] == "123.0000"
 
-    def test_production_cost_is_recorded_as_written(self, yaml_loader, runner, data_dir,
+    def test_production_cost_is_recorded_as_written(self, runner, data_dir,
                                                     tmp_path):
         policy, ledger = tmp_path / "policy.yaml", tmp_path / "ledger.jsonl"
         policy.write_text("c_p: 0.10\nlambda: 10000\n")

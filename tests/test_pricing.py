@@ -525,7 +525,7 @@ class TestPolicyFile:
             load_policy(path)
         assert str(raised.value) == f"{path}: currency must be a non-blank string, got {shown}"
 
-    def test_currency_is_the_text_written(self, yaml_loader, tmp_path):
+    def test_currency_is_the_text_written(self, tmp_path):
         path = tmp_path / "policy.yaml"
         path.write_text("c_p: 0.1\nlambda: 1\ncurrency: 5\n")
         assert load_policy(path).currency == "5"
@@ -535,7 +535,7 @@ class TestPolicyFile:
         ("0123", 123.0), ("1e4", 10_000.0), ("10_000", 10_000.0), ("'100'", 100.0),
         ("2.5", 2.5),
     ])
-    def test_rate_spellings_read_by_float(self, yaml_loader, tmp_path, spelling, rate):
+    def test_rate_spellings_read_by_float(self, tmp_path, spelling, rate):
         path = tmp_path / "policy.yaml"
         path.write_text(f"c_p: 0\nlambda: {spelling}\n")
         assert load_policy(path).rate_per_nat == rate
@@ -544,14 +544,14 @@ class TestPolicyFile:
 
     # hexadecimal, octal, base 60 and YAML's own infinity are YAML 1.1 numbers only
     @pytest.mark.parametrize("spelling", ["0x10", "0o17", "1:30", ".inf"])
-    def test_rate_spellings_float_refuses(self, yaml_loader, tmp_path, spelling):
+    def test_rate_spellings_float_refuses(self, tmp_path, spelling):
         path = tmp_path / "policy.yaml"
         path.write_text(f"c_p: 0\nlambda: {spelling}\n")
         with pytest.raises(ValidationError) as raised:
             load_policy(path)
         assert str(raised.value) == f"{path}: lambda must be numeric, got {spelling!r}"
 
-    def test_money_is_the_decimal_written(self, yaml_loader, tmp_path):
+    def test_money_is_the_decimal_written(self, tmp_path):
         path = tmp_path / "policy.yaml"
         path.write_text("c_p: 0.10\nlambda: 1\npi_max: 1e3\n")
         policy = load_policy(path)

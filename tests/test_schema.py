@@ -7,8 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leakpricer import (
     AttributeSpec,
@@ -363,41 +362,54 @@ def categorical_schema_doc(levels) -> str:
 
 
 class TestYamlReader:
-    def test_each_loader_is_the_one_used(self, yaml_loader, monkeypatch, tmp_path):
-        used, load = [], yaml.load
-
-        def spy(text, loader):
-            used.append(loader)
-            return load(text, loader)
-
-        monkeypatch.setattr(yaml, "load", spy)
-        doc = tmp_path / "doc.yaml"
-        doc.write_text("a: 1\n")
-        assert load_yaml_doc(doc, "test", {"a"}) == {"a": "1"}
-        assert [loader.__mro__[1].__name__ for loader in used] == [yaml_loader]
-
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     @given(levels=st.lists(AMBIGUOUS_SPELLINGS, min_size=1, max_size=6, unique=True))
-    def test_levels_load_as_written(self, yaml_loader, levels):
+    def test_levels_load_as_written(self, levels):
         with tempfile.TemporaryDirectory() as tmp:
             doc = Path(tmp) / "schema.yaml"
             doc.write_text(categorical_schema_doc(levels))
             assert load_schema(doc).attributes[0].levels == tuple(levels)
 
-    def test_a_level_spelled_null_is_refused(self, yaml_loader, tmp_path):
+    def test_a_level_spelled_null_is_refused(self, tmp_path):
         doc = tmp_path / "schema.yaml"
         doc.write_text(categorical_schema_doc(["a", "null"]))
-        with pytest.raises(ValidationError, match=r"levels must be text, got \['a', None\]"):
+        with pytest.raises(ValidationError) as raised:
             load_schema(doc)
+        assert str(raised.value) == f"{doc}: g: levels must be text, got ['a', None]"
         doc.write_text(categorical_schema_doc(["a", "'null'"]))
         assert load_schema(doc).attributes[0].levels == ("a", "null")
+
+    # errors of the attribute and schema types name the file, as the reader's own do
+    @pytest.mark.parametrize("attributes, error", [
+        ("[{name: g, kind: categorical, levels: [a, a]}]", "g: levels must be pairwise distinct"),
+        ("[{name: o, kind: categorical, levels: [a]}]",
+         "attribute names must be unique; duplicated: ['o']"),
+        ("[{name: g+h, kind: categorical, levels: [a]}]",
+         "protected attribute name 'g+h' contains '+', which joins attribute names into "
+         "subset names"),
+        ("[{name: g, kind: continuous, range: [2, 1]}]",
+         "g: lower bound 2.0 must be below upper bound 1.0"),
+        ("[{name: g, kind: categorical, levels: [a], lvls: [b]}]",
+         "attribute 'g': unknown attribute key 'lvls'"),
+        ("[{name: [g], kind: categorical, levels: [a]}]",
+         "attribute name must be non-empty text, got ['g']"),
+        ("[{kind: categorical, levels: [a]}]", "attribute name must be non-empty text, got None"),
+        ("[{name: g}]", "attribute 'g' has unknown kind None"),
+    ], ids=["repeated-level", "repeated-name", "joined-name", "bounds", "unknown-key",
+            "name-not-text", "no-name", "no-kind"])
+    def test_schema_errors_name_the_file(self, tmp_path, attributes, error):
+        doc = tmp_path / "schema.yaml"
+        doc.write_text(f"attributes: {attributes}\n"
+                       "observable: {name: o, kind: categorical, levels: [a]}\n")
+        with pytest.raises(ValidationError) as raised:
+            load_schema(doc)
+        assert str(raised.value) == f"{doc}: {error}"
 
     @pytest.mark.parametrize("text, value", [
         ("a: null\n", None), ("a: ~\n", None), ("a:\n", None), ("a: ''\n", ""),
         ("a: 'null'\n", "null"), ("a: NULL\n", None), ("a: nil\n", "nil"),
     ])
-    def test_only_a_plain_null_is_none(self, yaml_loader, tmp_path, text, value):
+    def test_only_a_plain_null_is_none(self, tmp_path, text, value):
         doc = tmp_path / "doc.yaml"
         doc.write_text(text)
         assert load_yaml_doc(doc, "test", {"a"}) == {"a": value}
