@@ -114,10 +114,11 @@ class SessionLedger:
 
     def priced_event(self, sequence: int, timestamp: str, observable: str,
                      nats: float) -> AuditEvent:
-        """An event of this session, checked, its surcharge the policy rate times
-        the leakage in nats quantized onto the money grid; it is not appended."""
-        return AuditEvent(sequence, timestamp, observable, nats,
-                          quantize_money(self._rate * Decimal(repr(nats))), LINEAR)
+        """An event of this session, priced at the policy rate onto the money grid and
+        not appended. ``nats`` is a finite, nonnegative float and ``sequence`` counts
+        from 1, both checked by the caller, so :class:`AuditEvent` does not check again."""
+        surcharge = quantize_money(self._rate * Decimal(repr(nats)))
+        return tuple.__new__(AuditEvent, (sequence, timestamp, observable, nats, surcharge, LINEAR))
 
     @property
     def total_leakage_nats(self) -> float:
@@ -157,12 +158,8 @@ def record_event(
         raise ValidationError(
             f"session is closed ({ledger.consent}); no further events"
         )
-    event = ledger.priced_event(
-        len(ledger.events) + 1,
-        datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp,
-        str(observable),
-        leakage.in_nats(),
-    )
+    stamp = datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp
+    event = ledger.priced_event(len(ledger.events) + 1, stamp, str(observable), leakage.in_nats())
     ledger.events.append(event)
     return event
 
@@ -186,8 +183,8 @@ class SessionReport:
         return "".join(self.render_pieces(map(report_row, self.events)))
 
     def render_pieces(self, rows):
-        """Yield the rendered summary in pieces, each ending a line, with
-        ``rows`` (strings of whole report rows) as its event rows."""
+        """Yield the rendered summary in pieces, with the text of ``rows`` (strings
+        that together make whole report rows) as its event rows."""
         yield (f"session {self.session_id}\ndecision: {self.decision}\n\n"
                "  seq  timestamp                  observable            "
                "leakage (nats)  surcharge\n")
@@ -257,8 +254,8 @@ def _closure_totals(production_cost: Decimal, nats: float, surcharge: Decimal) -
 
 
 def write_ledger(ledger: SessionLedger, path, lines=None, totals=None) -> None:
-    """Serialize header, events in order, and the closure line if closed; the ledger
-    lines and :func:`build_report`'s ``totals`` of streamed events replace its own."""
+    """Serialize header, events in order, and the closure line if closed; the text of
+    ``lines`` and :func:`build_report`'s ``totals`` of streamed events replace its own."""
     nats, surcharge = tally(ledger.events)[1:] if totals is None else totals
     header = {"session": ledger.session_id, "policy": _policy_payload(ledger.policy),
               "consent": ledger.consent}
@@ -294,9 +291,12 @@ def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
         )
     raw_policy = header["policy"]
     try:
+        cost, rate = raw_policy["c_p"], raw_policy.get("lambda")
+        if not isinstance(rate, (int, float, type(None))):  # PricingPolicy refuses a bool
+            raise TypeError(f"lambda must be a number, got {rate!r}")
         policy = PricingPolicy(
-            production_cost=raw_policy["c_p"],
-            rate_per_nat=raw_policy.get("lambda"),
+            production_cost=cost,
+            rate_per_nat=rate,
             max_penalty=raw_policy.get("pi_max"),
             currency=raw_policy.get("currency", "USD"),
         )

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
@@ -32,6 +35,8 @@ EXIT_VALIDATION = 3
 EPOCH = "1970-01-01T00:00:00+00:00"
 #: Keys an event line may carry.
 _EVENT_KEYS = frozenset({"observable", "leakage", "unit", "timestamp"})
+#: Events whose report rows and ledger lines go to the spools in one write each.
+_SPOOL_BATCH = 256
 
 UNIT_CHOICE = click.Choice([NATS, BITS])
 FORMAT_CHOICE = click.Choice(["text", "machine"])
@@ -337,50 +342,42 @@ def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
 
 
 def _priced_events(path, ledger):
-    """Yield each event of an event-stream file, priced at the ledger's rate, as
-    it is parsed; the decision line closes the ledger.
-
-    Line format: ``{"observable": ..., "leakage": ..., "unit": ...,
-    "timestamp": ...}`` with unit and timestamp optional, or
-    ``{"decision": "granted"|"denied"}`` exactly once, after which no
-    further event may appear.
-    """
-    p = Path(path)
-    sequence = 0
+    """Yield each event of an event-stream file, priced at the ledger's rate, as it
+    is parsed. A line is ``{"observable": ..., "leakage": ..., "unit": ...,
+    "timestamp": ...}``, unit and timestamp optional, or ``{"decision": "granted"|
+    "denied"}``, which closes the ledger: it comes once, and no event follows it."""
+    p, sequence = Path(path), 0
     for lineno, record in schema_lib.read_json_lines(p, "event"):
         if "decision" in record:
             schema_lib.check_keys(record, {"decision"}, f"{p}:{lineno}", "decision-line")
-            try:
-                audit_lib.decide(ledger, record["decision"])
-            except ValidationError as exc:
-                raise ValidationError(f"{p}:{lineno}: {exc}") from None
-            continue
-        if ledger.consent != audit_lib.CONSENT_PENDING:
+        elif ledger.consent != audit_lib.CONSENT_PENDING:
             raise ValidationError(f"{p}:{lineno}: event after the decision line")
-        if not record.keys() <= _EVENT_KEYS:
+        elif not record.keys() <= _EVENT_KEYS:
             schema_lib.check_keys(record, _EVENT_KEYS, f"{p}:{lineno}", "event")
-        if "observable" not in record or "leakage" not in record:
-            raise ValidationError(
-                f"{p}:{lineno}: event needs 'observable' and 'leakage'"
-            )
         try:
-            if isinstance(record["leakage"], bool):  # no number, as in to_decimal
-                raise TypeError
-            amount = float(record["leakage"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"{p}:{lineno}: non-numeric leakage {record['leakage']!r}"
-            ) from None
-        observable, timestamp = record["observable"], record.get("timestamp", EPOCH)
-        if not (isinstance(observable, str) and isinstance(timestamp, str)):
-            key = "timestamp" if isinstance(observable, str) else "observable"
-            raise ValidationError(
-                f"{p}:{lineno}: event {key!r} must be a string, got {record[key]!r}"
-            )
-        sequence += 1
-        try:
-            nats = InfoQuantity(amount, record.get("unit", NATS)).in_nats()
-            event = ledger.priced_event(sequence, timestamp, observable, nats)
+            if "decision" in record:
+                audit_lib.decide(ledger, record["decision"])
+                continue
+            if "observable" not in record or "leakage" not in record:
+                raise ValidationError("event needs 'observable' and 'leakage'")
+            amount = record["leakage"]
+            if type(amount) is not float:
+                try:
+                    if isinstance(amount, bool):  # no number, as in to_decimal
+                        raise TypeError
+                    amount = float(amount)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValidationError(f"non-numeric leakage {amount!r}") from None
+            observable, timestamp = record["observable"], record.get("timestamp", EPOCH)
+            if not (isinstance(observable, str) and isinstance(timestamp, str)):
+                key = "timestamp" if isinstance(observable, str) else "observable"
+                raise ValidationError(f"event {key!r} must be a string, got {record[key]!r}")
+            # a finite, nonnegative float in nats passes as it is (-0.0 as 0.0);
+            # InfoQuantity checks and words any other amount or unit
+            unit, sequence = record.get("unit", NATS), sequence + 1
+            if unit != NATS or not 0.0 <= amount < math.inf:
+                amount = InfoQuantity(amount, unit).in_nats()
+            event = ledger.priced_event(sequence, timestamp, observable, amount + 0.0)
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
         yield event
@@ -400,19 +397,23 @@ def _content_session_id(*paths, decision: str | None = None) -> str:
 def _spool():
     """An unnamed file in the system temporary directory, gone once closed,
     that holds any str: rows and lines wait there until they can be output."""
-    import tempfile
-
     return tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
 
 
-def _spooled(events, rows, lines=None):
-    """Write each event's report row, and its ledger line if ``lines`` is
-    given, to those spools as the event passes."""
-    for event in events:
-        rows.write(audit_lib.report_row(event))
-        if lines is not None:
-            lines.write(audit_lib.ledger_line(event))
-        yield event
+def _spooled(events, *spools):
+    """Pass the events on, :data:`_SPOOL_BATCH` at a time, once each one's report
+    row is written to the first spool and, if a second is given, its ledger line."""
+    events = iter(events)
+    while batch := list(itertools.islice(events, _SPOOL_BATCH)):
+        for spool, form in zip(spools, (audit_lib.report_row, audit_lib.ledger_line)):
+            spool.write("".join(map(form, batch)))
+        yield from batch
+
+
+def _spooled_text(spool):
+    """The text written to ``spool``, from its start, in 64 KiB pieces."""
+    spool.seek(0)
+    return iter(functools.partial(spool.read, 1 << 16), "")
 
 
 @main.command(name="audit")
@@ -436,12 +437,10 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     with _spool() as lines, _spool() as rows:
         events = _spooled(_priced_events(events_path, ledger), rows, lines)
         count, *totals = audit_lib.tally(events)
-        if decision is not None:
-            try:  # click has checked the value, so only a decided stream fails
-                audit_lib.decide(ledger, decision)
-            except ValidationError:
-                raise ValidationError("decision given twice: in the stream and "
-                                      "as --decision") from None
+        if decision is not None:  # click has checked the value
+            if ledger.consent != audit_lib.CONSENT_PENDING:
+                raise ValidationError("decision given twice: in the stream and as --decision")
+            audit_lib.decide(ledger, decision)
         elif ledger.consent == audit_lib.CONSENT_PENDING:
             raise ValidationError("the stream carries no decision line; pass --decision")
         report = audit_lib.build_report(ledger, totals)
@@ -454,8 +453,7 @@ def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
                 f"ledger total {report.grand_total} drifted from single-shot "
                 f"pricing {single_shot.total} beyond {drift_bound}"
             )
-        lines.seek(0)
-        audit_lib.write_ledger(ledger, ledger_path, lines, totals)
+        audit_lib.write_ledger(ledger, ledger_path, _spooled_text(lines), totals)
         _print_report(report, count, rows, fmt)
 
 
@@ -474,8 +472,7 @@ def _print_report(report, count, rows, fmt):
             "disclaimer": report.disclaimer,
         }))
         return
-    rows.seek(0)
-    sys.stdout.writelines(report.render_pieces(rows))
+    sys.stdout.writelines(report.render_pieces(_spooled_text(rows)))
 
 
 @main.command(name="report")

@@ -46,12 +46,14 @@ MAX_CURVE_POINTS = 100_000
 
 def to_decimal(amount) -> Decimal:
     """Exact, finite decimal from a number's shortest round-trip representation."""
-    if isinstance(amount, bool) or not isinstance(amount, (Decimal, int, float, str)):
-        raise ValidationError(f"cannot interpret {amount!r} as a money amount")
-    try:
-        value = amount if isinstance(amount, Decimal) else Decimal(str(amount))
-    except InvalidOperation:
-        raise ValidationError(f"cannot interpret {amount!r} as a money amount") from None
+    value = amount
+    if type(value) is not Decimal:  # an exact Decimal, the common case, needs no conversion
+        if isinstance(amount, bool) or not isinstance(amount, (Decimal, int, float, str)):
+            raise ValidationError(f"cannot interpret {amount!r} as a money amount")
+        try:
+            value = amount if isinstance(amount, Decimal) else Decimal(str(amount))
+        except InvalidOperation:
+            raise ValidationError(f"cannot interpret {amount!r} as a money amount") from None
     if not value.is_finite():
         raise ValidationError(f"money amount must be finite, got {amount!r}")
     return value
@@ -68,7 +70,7 @@ def quantize_money(amount) -> Decimal:
     """Round onto the four-decimal money grid, ties to even."""
     value = to_decimal(amount)
     try:
-        return value.quantize(MONEY_QUANTUM, rounding=ROUND_HALF_EVEN)
+        return value.quantize(MONEY_QUANTUM, ROUND_HALF_EVEN)  # a keyword costs as much again
     except InvalidOperation:
         # the quantized amount needs more digits than the decimal context holds
         raise ValidationError(
@@ -331,8 +333,11 @@ def price_curve(
             f"curve over [{start}, {stop}] in steps of {step} has more than "
             f"{MAX_CURVE_POINTS} points"
         )
-    count = int(math.floor(steps)) + 1
-    points = [(start + i * step, total_at(start + i * step)) for i in range(count)]
+    leakages = [start + i * step for i in range(int(math.floor(steps)) + 1)]
+    if any(x1 <= x0 for x0, x1 in zip(leakages, leakages[1:])):
+        raise ValidationError(f"step {step!r} is too small to separate the points of "
+                              f"[{start}, {stop}] as floats")
+    points = [(nats, total_at(nats)) for nats in leakages]
     _check_constant_slope(points)
     return points
 

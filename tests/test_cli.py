@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from leakpricer import (
     LN2,
     AttributeSpec,
+    InfoQuantity,
     ParseError,
     ProfileSchema,
     ValidationError,
@@ -29,10 +30,14 @@ from leakpricer import (
     load_policy,
     load_samples,
     load_schema,
+    open_session,
     read_joint_table,
     read_ledger,
+    record_event,
+    write_ledger,
 )
-from leakpricer.cli import main
+from leakpricer.audit import decide
+from leakpricer.cli import _SPOOL_BATCH, main
 
 import oracles
 
@@ -515,6 +520,20 @@ class TestCurveCommand:
         assert out == "leakage,value\n5.300000,1000000000.0010\n"
 
 
+    def test_step_too_small_to_separate_the_points_exits_3(self, runner, tmp_path):
+        # near 1e17 floats are 16 apart, so start + 8 rounds back onto start
+        policy = tmp_path / "policy.yaml"
+        policy.write_text("c_p: 0\nlambda: 1\n")
+        result = invoke(runner, "curve", "--policy", policy, "--start", "1e17",
+                        "--stop", "100000000000000032", "--step", "8")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            "error: step 8.0 is too small to separate the points of "
+            "[1e+17, 1.0000000000000003e+17] as floats\n"
+        )
+        assert result.stdout == ""
+
+
 class TestAuditCommand:
     def audit_args(self, data_dir, ledger_path):
         return ("audit", "--policy", data_dir / "policy_calibrated.yaml",
@@ -720,6 +739,102 @@ class TestAuditCommand:
         assert doc["grand_total"] == "3773.5860"
 
 
+# Event lines with two faults each, after one good line, and the line and
+# fault each stream is refused for: the checks run in a fixed order, so the
+# message does not depend on how the stream is checked.
+TWO_FAULT_EVENTS = [
+    ('{"observable": "o", "bogus": 1}', "2: unknown event key 'bogus'"),
+    ('{"observable": 5, "leakage": 1.0, "unit": "furlongs"}',
+     "2: event 'observable' must be a string, got 5"),
+    ('{"observable": "o", "leakage": true, "unit": "furlongs"}', "2: non-numeric leakage True"),
+    ('{"observable": "o", "leakage": -1.0, "timestamp": 5}',
+     "2: event 'timestamp' must be a string, got 5"),
+    ('{"observable": "o", "leakage": -1.0, "unit": "furlongs"}',
+     "2: unknown information unit 'furlongs'; expected one of ('nats', 'bits')"),
+    ('{"observable": "o", "leakage": "nan", "unit": "bits "}',
+     "2: unknown information unit 'bits '; expected one of ('nats', 'bits')"),
+    ('{"observable": 5}', "2: event needs 'observable' and 'leakage'"),
+    ('{"leakage": "lots", "timestamp": 5}', "2: event needs 'observable' and 'leakage'"),
+    ('{"observable": 5, "leakage": "lots"}', "2: non-numeric leakage 'lots'"),
+    ('{"observable": "o", "leakage": [1], "timestamp": null}', "2: non-numeric leakage [1]"),
+    ('{"observable": "o", "leakage": 1e999, "timestamp": null}',
+     "2: event 'timestamp' must be a string, got None"),
+    ('{"observable": "o", "leakage": 1e999, "unit": "bits"}',
+     "2: information value must be finite, got inf"),
+    ('{"observable": "o", "leakage": -0.5, "unit": "bits"}',
+     "2: information value must be nonnegative, got -0.5"),
+    ('{"observable": "o", "leakage": 1e300}\n{"observable": 5}',
+     "2: money amount 9.433962264150944E+304 is too large for the four-decimal grid"),
+    ('{"decision": "maybe", "extra": 1}', "2: unknown decision-line key 'extra'"),
+    ('{"decision": "granted"}\n{"observable": "o", "bogus": 1}',
+     "3: event after the decision line"),
+]
+
+
+@pytest.mark.parametrize("lines, error", TWO_FAULT_EVENTS)
+def test_each_event_line_reports_its_first_fault(runner, data_dir, tmp_path, lines, error):
+    events = tmp_path / "events.jsonl"
+    events.write_text('{"observable": "fine", "leakage": 0.5}\n' + lines + "\n")
+    result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                    "--events", events, "--out", tmp_path / "ledger.jsonl",
+                    "--decision", "granted")
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"error: {events}:{error}\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "ledger.jsonl").exists()
+
+
+class TestSpoolBatches:
+    """``audit`` spools rows and ledger lines a batch of events at a time; a
+    stream of any length gives what the library gives for the same events."""
+
+    @staticmethod
+    def events(n: int, bits_every: int = 0):
+        for i in range(n):
+            unit = "bits" if bits_every and i % bits_every == 0 else "nats"
+            yield (f"obs {i % 7}", i % 97 / 1000, unit, f"2024-05-01T09:{i % 60:02d}:00+00:00")
+
+    @pytest.mark.parametrize("n, bits_every", [
+        (_SPOOL_BATCH - 1, 0), (_SPOOL_BATCH, 0), (_SPOOL_BATCH + 1, 0), (_SPOOL_BATCH + 1, 3),
+    ])
+    def test_ledger_and_report_match_the_library(self, runner, data_dir, tmp_path, n, bits_every):
+        policy_path = data_dir / "policy_calibrated.yaml"
+        events = tmp_path / "events.jsonl"
+        with events.open("w") as fh:
+            for observable, leakage, unit, stamp in self.events(n, bits_every):
+                fh.write(json.dumps({"observable": observable, "leakage": leakage,
+                                     "unit": unit, "timestamp": stamp}) + "\n")
+            fh.write('{"decision": "granted"}\n')
+        ledger_path = tmp_path / "ledger.jsonl"
+        audited = ok(runner, "audit", "--policy", policy_path, "--events", events,
+                     "--out", ledger_path, "--session-id", "batches")
+
+        ledger = open_session(load_policy(policy_path), "batches")
+        for observable, leakage, unit, stamp in self.events(n, bits_every):
+            record_event(ledger, observable, InfoQuantity(leakage, unit), timestamp=stamp)
+        decide(ledger, "granted")
+        write_ledger(ledger, tmp_path / "library.jsonl")
+        assert ledger_path.read_bytes() == (tmp_path / "library.jsonl").read_bytes()
+        assert ok(runner, "report", "--ledger", ledger_path) == audited
+        assert audited.count("\n  ") == 1 + n  # the column heads, then a row per event
+
+    def test_failing_stream_leaves_out_as_it_was(self, runner, data_dir, tmp_path):
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"observable": o, "leakage": v, "unit": u, "timestamp": t}) + "\n"
+            for o, v, u, t in self.events(_SPOOL_BATCH + 1)
+        ) + '{"observable": "o", "leakage": -1}\n{"decision": "granted"}\n')
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("the ledger before\n")
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", ledger)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"error: {events}:{_SPOOL_BATCH + 2}: ")
+        assert result.stdout == ""
+        assert ledger.read_text() == "the ledger before\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["events.jsonl", "ledger.jsonl"]
+
+
 class TestReportCommand:
     def test_round_trip_matches_audit_output(self, runner, data_dir, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
@@ -822,6 +937,19 @@ class TestReportCommand:
         assert result.stderr == (
             f"error: {ledger}: malformed policy header: "
             "lambda_unit must be 'per_nat', got 'per_bit'\n"
+        )
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("rate, shown", [
+        ('"94339.62264150944"', "'94339.62264150944'"), ("[1.0]", "[1.0]"), ('{"x": 1}', "{'x': 1}"),
+    ])
+    def test_header_rate_that_is_no_json_number_exits_2(self, runner, tmp_path, rate, shown):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(DEMO_LEDGER.replace("94339.62264150944", rate, 1))
+        result = invoke(runner, "report", "--ledger", ledger)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            f"error: {ledger}: malformed policy header: lambda must be a number, got {shown}\n"
         )
         assert result.stdout == ""
 

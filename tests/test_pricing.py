@@ -429,6 +429,11 @@ class TestPriceCurve:
         with pytest.raises(ValidationError, match="invalid leakage range"):
             price_curve(policy, LINEAR, -0.5, 0.5, 0.1)
 
+    def test_step_too_small_to_separate_the_points(self):
+        policy = PricingPolicy(production_cost=Decimal("0"), rate_per_nat=1.0)
+        with pytest.raises(ValidationError, match="step 8.0 is too small to separate"):
+            price_curve(policy, LINEAR, 1e17, 1e17 + 32, 8.0)
+
     @pytest.mark.parametrize(
         "start, stop",
         [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)],
