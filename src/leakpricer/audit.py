@@ -112,8 +112,8 @@ class SessionLedger:
         """The policy rate as a Decimal, converted once per session, not per event."""
         return to_decimal(self.policy.rate_per_nat)
 
-    def priced_event(self, sequence: int, timestamp: str, observable: str,
-                     nats: float) -> AuditEvent:
+    def _priced_event(self, sequence: int, timestamp: str, observable: str,
+                      nats: float) -> AuditEvent:
         """An event of this session, priced at the policy rate onto the money grid and
         not appended. ``nats`` is a finite, nonnegative float and ``sequence`` counts
         from 1, both checked by the caller, so :class:`AuditEvent` does not check again."""
@@ -159,7 +159,7 @@ def record_event(
             f"session is closed ({ledger.consent}); no further events"
         )
     stamp = datetime.now(timezone.utc).isoformat() if timestamp is None else timestamp
-    event = ledger.priced_event(len(ledger.events) + 1, stamp, str(observable), leakage.in_nats())
+    event = ledger._priced_event(len(ledger.events) + 1, stamp, str(observable), leakage.in_nats())
     ledger.events.append(event)
     return event
 

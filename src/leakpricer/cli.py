@@ -377,7 +377,7 @@ def _priced_events(path, ledger):
             unit, sequence = record.get("unit", NATS), sequence + 1
             if unit != NATS or not 0.0 <= amount < math.inf:
                 amount = InfoQuantity(amount, unit).in_nats()
-            event = ledger.priced_event(sequence, timestamp, observable, amount + 0.0)
+            event = ledger._priced_event(sequence, timestamp, observable, amount + 0.0)
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
         yield event

@@ -46,14 +46,12 @@ MAX_CURVE_POINTS = 100_000
 
 def to_decimal(amount) -> Decimal:
     """Exact, finite decimal from a number's shortest round-trip representation."""
-    value = amount
-    if type(value) is not Decimal:  # an exact Decimal, the common case, needs no conversion
-        if isinstance(amount, bool) or not isinstance(amount, (Decimal, int, float, str)):
-            raise ValidationError(f"cannot interpret {amount!r} as a money amount")
-        try:
-            value = amount if isinstance(amount, Decimal) else Decimal(str(amount))
-        except InvalidOperation:
-            raise ValidationError(f"cannot interpret {amount!r} as a money amount") from None
+    if isinstance(amount, bool) or not isinstance(amount, (Decimal, int, float, str)):
+        raise ValidationError(f"cannot interpret {amount!r} as a money amount")
+    try:
+        value = amount if isinstance(amount, Decimal) else Decimal(str(amount))
+    except InvalidOperation:
+        raise ValidationError(f"cannot interpret {amount!r} as a money amount") from None
     if not value.is_finite():
         raise ValidationError(f"money amount must be finite, got {amount!r}")
     return value

@@ -528,15 +528,11 @@ def read_json_lines(path, what: str):
     line-delimited JSON file; every line must hold one JSON object."""
     decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
         try:
-            # json.loads without its per-call overhead: JSON whitespace around one
-            # value, which most lines start with; blank lines are skipped
-            try:
-                record, end = decode(line)
-            except ValueError:
-                if not line.strip():
-                    continue
-                record, end = decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            # json.loads without its per-call overhead: JSON whitespace around one value
+            record, end = decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
             if line[end:].strip(_JSON_SPACE):
                 raise ValueError("extra data")
         except (ValueError, RecursionError):
