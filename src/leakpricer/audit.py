@@ -285,21 +285,15 @@ def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
         raise ParseError(f"{p}: empty ledger file")
     if "session" not in header or "policy" not in header:
         raise ParseError(f"{p}: first ledger line must be the session header")
-    if type(header["session"]) is not str:
-        raise ParseError(
-            f"{p}: malformed session header: session must be a string, got {header['session']!r}"
-        )
+    if type(sid := header["session"]) is not str:
+        raise ParseError(f"{p}: malformed session header: session must be a string, got {sid!r}")
     raw_policy = header["policy"]
     try:
         cost, rate = raw_policy["c_p"], raw_policy.get("lambda")
         if not isinstance(rate, (int, float, type(None))):  # PricingPolicy refuses a bool
             raise TypeError(f"lambda must be a number, got {rate!r}")
-        policy = PricingPolicy(
-            production_cost=cost,
-            rate_per_nat=rate,
-            max_penalty=raw_policy.get("pi_max"),
-            currency=raw_policy.get("currency", "USD"),
-        )
+        policy = PricingPolicy(cost, rate, max_penalty=raw_policy.get("pi_max"),
+                               currency=raw_policy.get("currency", "USD"))
         if raw_policy.get("lambda_unit", PER_NAT) != PER_NAT:
             raise ValueError(f"lambda_unit must be {PER_NAT!r}, got {raw_policy['lambda_unit']!r}")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -309,12 +303,13 @@ def iter_ledger(path) -> tuple[SessionLedger, Iterator[AuditEvent]]:
     consent = header.get("consent", CONSENT_PENDING)
     if consent not in (CONSENT_PENDING, *_DECISIONS):
         raise ParseError(f"{p}: unknown consent state {consent!r}")
-    ledger = SessionLedger(header["session"], policy, consent)
+    ledger = SessionLedger(sid, policy, consent)
     return ledger, _ledger_events(p, records, consent, policy.production_cost)
 
 
-def _ledger_events(p: Path, records, consent: str,
-                   production_cost: Decimal) -> Iterator[AuditEvent]:
+def _ledger_events(p: Path, records, consent: str, production_cost: Decimal):
+    """Yield the events of ``records``, each line checked once, then check the closure
+    line; return the count and the total leakage and surcharge, summed as by :func:`tally`."""
     closure = None
     sequence, total_nats, total_surcharge = 0, 0.0, Decimal("0.0000")
     for lineno, record in records:
@@ -333,29 +328,24 @@ def _ledger_events(p: Path, records, consent: str,
             if record["rule"] != LINEAR:
                 raise ValueError(f"rule must be {LINEAR!r}, got {record['rule']!r}")
             nats, surcharge = record["leakage_nats"], record["surcharge"]
-            if type(nats) not in (int, float):
+            if type(nats) is not float and type(nats) is not int:
                 raise TypeError(f"leakage_nats must be a number, got {nats!r}")
-            event = AuditEvent(
-                sequence=record["sequence"],  # AuditEvent takes an exact integer only
-                timestamp=timestamp,
-                observable=observable,
-                leakage_nats=float(nats),
-                surcharge=to_decimal(_ledger_money(surcharge)),
-                rule=LINEAR,
-            )
+            number, nats, surcharge = record["sequence"], float(nats), _ledger_money(surcharge)
+            if not (type(number) is int and number > 0 and 0.0 <= nats < math.inf
+                    and surcharge.is_finite() and surcharge >= 0):
+                # AuditEvent words the first fault in its order; a JSON true passes as 1
+                AuditEvent(number, timestamp, observable, nats, to_decimal(surcharge), LINEAR)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"{p}:{lineno}: malformed event: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"{p}:{lineno}: {exc}") from None
         sequence += 1
-        if event.sequence != sequence:
-            raise ParseError(
-                f"{p}:{lineno}: event sequence {event.sequence} breaks the "
-                f"dense 1..n order"
-            )
-        total_nats += event.leakage_nats  # left to right, as tally sums for the writer
-        total_surcharge += event.surcharge
-        yield event
+        if number != sequence:
+            raise ParseError(f"{p}:{lineno}: event sequence {int(number)} breaks the "
+                             "dense 1..n order")
+        total_nats += nats
+        total_surcharge += surcharge
+        yield tuple.__new__(AuditEvent, (sequence, timestamp, observable, nats, surcharge, LINEAR))
     if closure is not None:
         lineno, record = closure
         if record.get("decision") != consent:
@@ -367,6 +357,7 @@ def _ledger_events(p: Path, records, consent: str,
                               _closure_totals(production_cost, total_nats, total_surcharge))
     elif consent != CONSENT_PENDING:
         raise ParseError(f"{p}: consent is {consent!r} but no closure line found")
+    return sequence, total_nats, total_surcharge
 
 
 def _check_closure_totals(where: str, record: dict, derived: dict) -> None:

@@ -9,6 +9,7 @@ success, 2 file or parse problems, 3 validation or domain problems.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -363,10 +364,10 @@ def _priced_events(path, ledger):
             amount = record["leakage"]
             if type(amount) is not float:
                 try:
-                    if isinstance(amount, bool):  # no number, as in to_decimal
+                    if type(amount) is not int:  # a string or a boolean is no JSON number
                         raise TypeError
                     amount = float(amount)
-                except (TypeError, ValueError, OverflowError):
+                except (TypeError, OverflowError):
                     raise ValidationError(f"non-numeric leakage {amount!r}") from None
             observable, timestamp = record["observable"], record.get("timestamp", EPOCH)
             if not (isinstance(observable, str) and isinstance(timestamp, str)):
@@ -408,6 +409,11 @@ def _spooled(events, *spools):
         for spool, form in zip(spools, (audit_lib.report_row, audit_lib.ledger_line)):
             spool.write("".join(map(form, batch)))
         yield from batch
+
+
+def _returned(generator, into: list):
+    """Pass on what ``generator`` yields, then append what it returns to ``into``."""
+    into.append((yield from generator))
 
 
 def _spooled_text(spool):
@@ -482,9 +488,12 @@ def _print_report(report, count, rows, fmt):
 def report_cmd(ledger_path, fmt):
     """Re-render the closure report of an existing ledger."""
     ledger, events = audit_lib.iter_ledger(ledger_path)
-    # rows wait in a spool until the closure line has been checked
+    # rows wait in a spool until the closure line has been checked; the count and
+    # totals are the reader's own sums, which it returns
     with _spool() as rows:
-        count, *totals = audit_lib.tally(_spooled(events, rows))
+        sums = []
+        collections.deque(_spooled(_returned(events, sums), rows), maxlen=0)
+        (count, *totals), = sums
         _print_report(audit_lib.build_report(ledger, totals), count, rows, fmt)
 
 

@@ -392,6 +392,12 @@ class TestLedgerFile:
         path = self._write_lines(tmp_path, self._event_line(True))
         assert read_ledger(path).events[0].sequence == 1
 
+    def test_sequence_out_of_order_is_named_as_its_number(self, tmp_path):
+        path = self._write_lines(tmp_path, self._event_line(1), self._event_line(True))
+        with pytest.raises(ParseError) as raised:
+            read_ledger(path)
+        assert str(raised.value) == f"{path}:3: event sequence 1 breaks the dense 1..n order"
+
     def test_event_after_closure(self, tmp_path):
         closure = json.dumps({"decision": "granted"})
         path = self._write_lines(tmp_path, self._event_line(1), closure, self._event_line(2))

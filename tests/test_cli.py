@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -656,6 +658,21 @@ class TestAuditCommand:
         event = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[1])
         assert event["timestamp"] == ""
 
+    @pytest.mark.parametrize("value, shown", [
+        ('"0.5"', "'0.5'"), ('"nan"', "'nan'"), ('"1e400"', "'1e400'"), ('""', "''"),
+    ])
+    def test_string_leakage_rejected(self, runner, data_dir, tmp_path, value, shown):
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            f'{{"observable": "obs", "leakage": {value}}}\n{{"decision": "granted"}}\n'
+        )
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "ledger.jsonl")
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"error: {events}:1: non-numeric leakage {shown}\n"
+        assert result.stdout == ""
+        assert not (tmp_path / "ledger.jsonl").exists()
+
     @pytest.mark.parametrize("value, shown", [("true", "True"), ("false", "False")])
     def test_boolean_leakage_rejected(self, runner, data_dir, tmp_path, value, shown):
         events = tmp_path / "events.jsonl"
@@ -751,11 +768,12 @@ TWO_FAULT_EVENTS = [
      "2: event 'timestamp' must be a string, got 5"),
     ('{"observable": "o", "leakage": -1.0, "unit": "furlongs"}',
      "2: unknown information unit 'furlongs'; expected one of ('nats', 'bits')"),
-    ('{"observable": "o", "leakage": "nan", "unit": "bits "}',
-     "2: unknown information unit 'bits '; expected one of ('nats', 'bits')"),
+    ('{"observable": "o", "leakage": "nan", "unit": "bits "}', "2: non-numeric leakage 'nan'"),
     ('{"observable": 5}', "2: event needs 'observable' and 'leakage'"),
     ('{"leakage": "lots", "timestamp": 5}', "2: event needs 'observable' and 'leakage'"),
     ('{"observable": 5, "leakage": "lots"}', "2: non-numeric leakage 'lots'"),
+    (f'{{"observable": "o", "leakage": {10 ** 400}, "unit": "furlongs"}}',
+     f"2: non-numeric leakage {10 ** 400}"),
     ('{"observable": "o", "leakage": [1], "timestamp": null}', "2: non-numeric leakage [1]"),
     ('{"observable": "o", "leakage": 1e999, "timestamp": null}',
      "2: event 'timestamp' must be a string, got None"),
@@ -929,6 +947,22 @@ class TestReportCommand:
         assert result.exit_code == 3, result.output
         assert f"{ledger}:{len(lines)}: closure total_surcharge" in result.stderr
 
+    def test_total_leakage_is_the_left_to_right_float_sum(self, runner, data_dir, tmp_path):
+        leakages = [1.0] + [1e-16] * 10
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"observable": "obs", "leakage": nats}) + "\n" for nats in leakages
+        ) + '{"decision": "granted"}\n')
+        ledger = tmp_path / "ledger.jsonl"
+        for fmt in ("text", "machine"):
+            audited = ok(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                         "--events", events, "--out", ledger, "--format", fmt)
+            assert ok(runner, "report", "--ledger", ledger, "--format", fmt) == audited
+        stated = json.loads(ledger.read_text().splitlines()[-1])["total_leakage_nats"]
+        assert stated == functools.reduce(operator.add, leakages) == 1.0
+        assert stated != math.fsum(leakages)
+        assert json.loads(audited)["total_leakage_nats"] == stated
+
     def test_header_rate_unit_other_than_per_nat_exits_2(self, runner, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(DEMO_LEDGER.replace('"per_nat"', '"per_bit"', 1))
@@ -967,6 +1001,75 @@ class TestReportCommand:
         result = invoke(runner, "report", "--ledger", path)
         assert result.exit_code == 3
         assert "still open" in result.stderr
+
+
+# Ledger event lines with two faults or oddities each: the fields changed from
+# the demo ledger's first event (as JSON text; None drops the field), the exit
+# code, and the error after the ledger's path. The checks run in a fixed order, so
+# the fault named does not depend on how the line is checked.
+TWO_FAULT_LEDGER_EVENTS = [
+    (dict(timestamp=None, observable="5"), 2, "2: malformed event: 'timestamp'"),
+    (dict(timestamp="5", observable="null"), 2,
+     "2: malformed event: timestamp must be a string, got 5"),
+    (dict(observable="null", rule='"exposure"'), 2,
+     "2: malformed event: observable must be a string, got None"),
+    (dict(rule=None, leakage_nats='"x"'), 2, "2: malformed event: 'rule'"),
+    (dict(rule='"exposure"', leakage_nats='"0.02"'), 2,
+     "2: malformed event: rule must be 'linear', got 'exposure'"),
+    (dict(leakage_nats=None, surcharge=None), 2, "2: malformed event: 'leakage_nats'"),
+    (dict(surcharge=None, sequence=None), 2, "2: malformed event: 'surcharge'"),
+    (dict(leakage_nats="true", sequence=None), 2,
+     "2: malformed event: leakage_nats must be a number, got True"),
+    (dict(sequence=None, surcharge='"lots"'), 2, "2: malformed event: 'sequence'"),
+    (dict(sequence=None, leakage_nats="1" + "0" * 400), 2, "2: malformed event: 'sequence'"),
+    (dict(leakage_nats="1" + "0" * 400, surcharge='"lots"'), 2,
+     "2: malformed event: int too large to convert to float"),
+    (dict(surcharge='"lots"', sequence="0"), 2,
+     "2: malformed event: surcharge must be a decimal string or number, got 'lots'"),
+    (dict(surcharge="[1]", leakage_nats="-1.0"), 2,
+     "2: malformed event: surcharge must be a decimal string or number, got [1]"),
+    (dict(sequence="1.5", surcharge='"NaN"'), 3,
+     "2: money amount must be finite, got Decimal('NaN')"),
+    (dict(sequence="1.5", surcharge='"sNaN"'), 3,
+     "2: money amount must be finite, got Decimal('sNaN')"),
+    (dict(sequence="0", surcharge="1e999"), 3,
+     "2: money amount must be finite, got Decimal('Infinity')"),
+    (dict(sequence="1.5", leakage_nats="-1.0"), 2,
+     "2: malformed event: 'float' object cannot be interpreted as an integer"),
+    (dict(sequence='"1"', surcharge='"-1"'), 2,
+     "2: malformed event: 'str' object cannot be interpreted as an integer"),
+    (dict(sequence="0", leakage_nats="NaN"), 3, "2: event sequence numbers start at 1"),
+    (dict(sequence="-1", surcharge='"-1"'), 3, "2: event sequence numbers start at 1"),
+    (dict(leakage_nats="NaN", surcharge='"-1"'), 3,
+     "2: event leakage must be finite and nonnegative, got nan"),
+    (dict(leakage_nats="-0.5", sequence="5"), 3,
+     "2: event leakage must be finite and nonnegative, got -0.5"),
+    (dict(surcharge='"-0.0001"', sequence="7"), 3, "2: event surcharge must be nonnegative"),
+    (dict(surcharge="-1e-05", sequence="2"), 3, "2: event surcharge must be nonnegative"),
+    (dict(sequence="2", surcharge='"0.0000"'), 2,
+     "2: event sequence 2 breaks the dense 1..n order"),
+    (dict(sequence="true", leakage_nats="1"), 3,
+     "4: closure total_leakage_nats 0.04 does not match 1.02 from the events"),
+    (dict(decision='"granted"', sequence="1.5"), 2, "3: event after the closure line"),
+]
+
+
+@pytest.mark.parametrize("fields, code, error", TWO_FAULT_LEDGER_EVENTS)
+def test_each_ledger_event_line_reports_its_first_fault(runner, tmp_path, fields, code, error):
+    header, first, *rest = DEMO_LEDGER.splitlines(True)
+    event = {key: json.dumps(value) for key, value in json.loads(first).items()}
+    event = {key: text for key, text in {**event, **fields}.items() if text is not None}
+    line = "{" + ", ".join(f'"{key}": {text}' for key, text in event.items()) + "}\n"
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text(header + line + "".join(rest))
+    for fmt in ("text", "machine"):
+        result = invoke(runner, "report", "--ledger", ledger, "--format", fmt)
+        assert result.exit_code == code, result.output
+        assert result.stderr == f"error: {ledger}:{error}\n"
+        assert result.stdout == ""
+    with pytest.raises((ParseError, ValidationError)) as caught:
+        read_ledger(ledger)
+    assert str(caught.value) == f"{ledger}:{error}"
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
