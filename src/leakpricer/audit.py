@@ -32,7 +32,7 @@ from typing import ClassVar, Iterator
 from .errors import ParseError, ValidationError
 from .infotheory import NATS, InfoQuantity
 from .pricing import LINEAR, PER_NAT, PricingPolicy, quantize_money, to_decimal
-from .schema import read_json_lines, write_text
+from .schema import json_float, read_json_lines, write_text
 
 CONSENT_PENDING = "pending"
 CONSENT_GRANTED = "granted"
@@ -328,9 +328,11 @@ def _ledger_events(p: Path, records, consent: str, production_cost: Decimal):
             if record["rule"] != LINEAR:
                 raise ValueError(f"rule must be {LINEAR!r}, got {record['rule']!r}")
             nats, surcharge = record["leakage_nats"], record["surcharge"]
-            if type(nats) is not float and type(nats) is not int:
-                raise TypeError(f"leakage_nats must be a number, got {nats!r}")
-            number, nats, surcharge = record["sequence"], float(nats), _ledger_money(surcharge)
+            if type(nats) is not float:
+                if type(nats) is not int:
+                    raise TypeError(f"leakage_nats must be a number, got {nats!r}")
+                nats = json_float(nats)
+            number, surcharge = record["sequence"], _ledger_money(surcharge)
             if not (type(number) is int and number > 0 and 0.0 <= nats < math.inf
                     and surcharge.is_finite() and surcharge >= 0):
                 # AuditEvent words the first fault in its order; a JSON true passes as 1

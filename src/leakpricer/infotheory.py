@@ -171,8 +171,6 @@ def _measures(p: np.ndarray) -> tuple[float, float, float]:
     cells = p[mask]
     px_cells = np.broadcast_to(px[:, None], p.shape)[mask]
     ps_cells = np.broadcast_to(ps[None, :], p.shape)[mask]
-    if np.any(px_cells <= 0) or np.any(ps_cells <= 0):
-        raise ValidationError("joint table has a supported cell with zero marginal")
     log_cells = np.log(cells)
     log_px = np.log(px_cells)
     direct = float((cells * (log_cells - log_px - np.log(ps_cells))).sum())

@@ -290,8 +290,6 @@ def price_curve(
     Supports the linear and exposure rules; for exposure the leakage
     range must stay within [0, H] for the supplied baseline entropy.
     The range must be finite and span at most :data:`MAX_CURVE_POINTS` points.
-    A built-in check rejects any curve whose consecutive slopes drift,
-    so a non-linear result can never be returned silently.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"step must be positive, got {step!r}")
@@ -335,18 +333,7 @@ def price_curve(
     if any(x1 <= x0 for x0, x1 in zip(leakages, leakages[1:])):
         raise ValidationError(f"step {step!r} is too small to separate the points of "
                               f"[{start}, {stop}] as floats")
-    points = [(nats, total_at(nats)) for nats in leakages]
-    _check_constant_slope(points)
-    return points
-
-
-def _check_constant_slope(points) -> None:
-    slopes = [float(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
-    for slope in slopes[1:]:
-        if abs(slope - slopes[0]) > 1e-9 * max(1.0, abs(slopes[0])):
-            raise ValidationError(
-                f"price curve lost linearity: slope drifted from {slopes[0]!r} to {slope!r}"
-            )
+    return [(nats, total_at(nats)) for nats in leakages]
 
 
 # ---------------------------------------------------------------------------

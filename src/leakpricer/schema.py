@@ -545,6 +545,15 @@ def read_json_lines(path, what: str):
         yield lineno, record
 
 
+def json_float(number: int | float) -> float:
+    """A JSON number as a float; an integer too large for one is read as
+    ±inf, as ``json`` reads ``1e999``."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def load_yaml_doc(path, what: str, known) -> dict:
     """Read a YAML (or JSON) mapping with keys in ``known``, each key text and given once,
     each other scalar its text or, if a plain ``null``, ``~`` or empty, None. Bad YAML is a

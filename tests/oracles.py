@@ -8,8 +8,10 @@ obvious beats fast and clever for an oracle.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 
 LN2 = math.log(2.0)
+MONEY_GRID = Decimal("0.0001")
 
 
 def entropy_nats(probs) -> float:
@@ -99,6 +101,20 @@ def trapezoid(xs, ys) -> float:
     total = 0.0
     for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
         total += 0.5 * (y0 + y1) * (x1 - x0)
+    return total
+
+
+def linear_price(production_cost: Decimal, rate: float, nats: float) -> Decimal:
+    """c_p + rate * leakage, each float by its shortest repr, unrounded."""
+    return production_cost + Decimal(repr(rate)) * Decimal(repr(nats))
+
+
+def ledger_surcharge(rate: float, leakages) -> Decimal:
+    """The sum of per-event surcharges, each rate * leakage rounded half-even
+    onto the four-decimal money grid."""
+    total = Decimal("0")
+    for nats in leakages:
+        total += (Decimal(repr(rate)) * Decimal(repr(nats))).quantize(MONEY_GRID, ROUND_HALF_EVEN)
     return total
 
 

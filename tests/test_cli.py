@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +521,21 @@ class TestCurveCommand:
                  "--stop", "5.300000000005", "--step", "1")
         assert out == "leakage,value\n5.300000,1000000000.0010\n"
 
+    def test_fine_step_prices_every_point_at_the_linear_formula(self, runner, data_dir):
+        # at leakage 2 a step of 1e-7 is about 2e8 ulps, so the float spacing
+        # of the points varies by a few parts in 1e9 while each price stays exact
+        out = ok(runner, "curve", "--policy", data_dir / "policy_calibrated.yaml",
+                 "--start", "2", "--stop", "2.01", "--step", "0.0000001")
+        header, *rows = out.splitlines()
+        assert header == "leakage,value"
+        assert len(rows) == 100000
+        rate = 94339.62264150944
+        expected = []
+        for i in range(len(rows)):
+            nats = 2.0 + i * 1e-7
+            price = oracles.linear_price(Decimal("0.001"), rate, nats)
+            expected.append(f"{nats:.6f},{price.quantize(oracles.MONEY_GRID, ROUND_HALF_EVEN)}")
+        assert rows == expected
 
     def test_step_too_small_to_separate_the_points_exits_3(self, runner, tmp_path):
         # near 1e17 floats are 16 apart, so start + 8 rounds back onto start
@@ -755,6 +770,45 @@ class TestAuditCommand:
         assert doc["events"] == 2
         assert doc["grand_total"] == "3773.5860"
 
+    @staticmethod
+    def audit_at_rate(tmp, rate: float, leakages) -> tuple[object, dict]:
+        """Audit ``leakages`` at ``rate`` per nat and no production cost; the
+        result and the closure line of the ledger written."""
+        policy, events, ledger = (Path(tmp) / name
+                                  for name in ("policy.yaml", "events.jsonl", "ledger.jsonl"))
+        policy.write_text(f"c_p: 0\nlambda: {rate!r}\n")
+        events.write_text("".join(
+            json.dumps({"observable": "obs", "leakage": nats}) + "\n" for nats in leakages
+        ) + '{"decision": "granted"}\n')
+        result = invoke(CliRunner(), "audit", "--policy", policy, "--events", events,
+                        "--out", ledger, "--format", "machine")
+        closure = json.loads(ledger.read_text().splitlines()[-1]) if ledger.exists() else {}
+        return result, closure
+
+    def test_large_rate_totals_the_recorded_surcharges(self, tmp_path):
+        # the three floats sum to 0.30000000000000004, which at 1e16 per nat
+        # prices 0.4 above the sum of the three recorded surcharges
+        result, closure = self.audit_at_rate(tmp_path, 1e16, [0.1] * 3)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        expected = oracles.ledger_surcharge(1e16, [0.1] * 3)
+        assert str(expected) == "3000000000000000.0000"
+        assert closure["total_surcharge"] == str(expected)
+        assert json.loads(result.stdout)["total_surcharge"] == str(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate=st.floats(min_value=1e-6, max_value=1e18),
+        leakages=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=50),
+    )
+    def test_any_rate_totals_the_recorded_surcharges(self, rate, leakages):
+        with tempfile.TemporaryDirectory() as tmp:
+            result, closure = self.audit_at_rate(tmp, rate, leakages)
+        assert result.exit_code == 0, result.output
+        expected = str(oracles.ledger_surcharge(rate, leakages))
+        assert closure["total_surcharge"] == expected
+        assert json.loads(result.stdout)["total_surcharge"] == expected
+
 
 # Event lines with two faults each, after one good line, and the line and
 # fault each stream is refused for: the checks run in a fixed order, so the
@@ -773,7 +827,11 @@ TWO_FAULT_EVENTS = [
     ('{"leakage": "lots", "timestamp": 5}', "2: event needs 'observable' and 'leakage'"),
     ('{"observable": 5, "leakage": "lots"}', "2: non-numeric leakage 'lots'"),
     (f'{{"observable": "o", "leakage": {10 ** 400}, "unit": "furlongs"}}',
-     f"2: non-numeric leakage {10 ** 400}"),
+     "2: unknown information unit 'furlongs'; expected one of ('nats', 'bits')"),
+    (f'{{"observable": "o", "leakage": {10 ** 400}}}',
+     "2: information value must be finite, got inf"),
+    (f'{{"observable": "o", "leakage": {-10 ** 400}}}',
+     "2: information value must be finite, got -inf"),
     ('{"observable": "o", "leakage": [1], "timestamp": null}', "2: non-numeric leakage [1]"),
     ('{"observable": "o", "leakage": 1e999, "timestamp": null}',
      "2: event 'timestamp' must be a string, got None"),
@@ -1023,7 +1081,7 @@ TWO_FAULT_LEDGER_EVENTS = [
     (dict(sequence=None, surcharge='"lots"'), 2, "2: malformed event: 'sequence'"),
     (dict(sequence=None, leakage_nats="1" + "0" * 400), 2, "2: malformed event: 'sequence'"),
     (dict(leakage_nats="1" + "0" * 400, surcharge='"lots"'), 2,
-     "2: malformed event: int too large to convert to float"),
+     "2: malformed event: surcharge must be a decimal string or number, got 'lots'"),
     (dict(surcharge='"lots"', sequence="0"), 2,
      "2: malformed event: surcharge must be a decimal string or number, got 'lots'"),
     (dict(surcharge="[1]", leakage_nats="-1.0"), 2,
@@ -1051,6 +1109,10 @@ TWO_FAULT_LEDGER_EVENTS = [
     (dict(sequence="true", leakage_nats="1"), 3,
      "4: closure total_leakage_nats 0.04 does not match 1.02 from the events"),
     (dict(decision='"granted"', sequence="1.5"), 2, "3: event after the closure line"),
+    (dict(leakage_nats="1" + "0" * 400), 3,
+     "2: event leakage must be finite and nonnegative, got inf"),
+    (dict(leakage_nats="-1" + "0" * 400), 3,
+     "2: event leakage must be finite and nonnegative, got -inf"),
 ]
 
 
