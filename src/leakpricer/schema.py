@@ -545,13 +545,13 @@ def read_json_lines(path, what: str):
         yield lineno, record
 
 
-def json_float(number: int | float) -> float:
-    """A JSON number as a float; an integer too large for one is read as
-    ±inf, as ``json`` reads ``1e999``."""
+def json_float(integer: int) -> float:
+    """A JSON integer as a float; one too large for a float reads as ±inf,
+    as ``json`` reads ``1e999``."""
     try:
-        return float(number)
+        return float(integer)
     except OverflowError:
-        return math.inf if number > 0 else -math.inf
+        return math.inf if integer > 0 else -math.inf
 
 
 def load_yaml_doc(path, what: str, known) -> dict:
