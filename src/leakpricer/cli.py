@@ -59,11 +59,13 @@ def _write_or_print(out_path, text: str, wrote: str) -> None:
         print(text, end="")
 
 
-def _handle_errors(command):
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """The command group: a command's stdout is flushed once it returns, and
+    each error it raises is one ``error:`` line on stderr and its exit code."""
+
+    def invoke(self, ctx):
         try:
-            command(*args, **kwargs)
+            super().invoke(ctx)
             sys.stdout.flush()  # so a closed stdout fails here, not at exit
         except (ParseError, OSError) as exc:
             if isinstance(exc, BrokenPipeError):  # drop what stdout still buffers
@@ -74,10 +76,8 @@ def _handle_errors(command):
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_VALIDATION)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="leakpricer")
 def main() -> None:
     """Measure how much an observable leaks about a protected profile
@@ -94,7 +94,6 @@ def main() -> None:
 @click.option("--table", "table_path", required=True, help="Joint-table file.")
 @click.option("--unit", type=UNIT_CHOICE, default=NATS, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def entropy(table_path, unit, fmt):
     """Entropy of the protected profile's marginal in a joint table."""
     table = infotheory.read_joint_table(table_path)
@@ -109,7 +108,6 @@ def entropy(table_path, unit, fmt):
 @click.option("--table", "table_path", required=True, help="Joint-table file.")
 @click.option("--unit", type=UNIT_CHOICE, default=NATS, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def mi(table_path, unit, fmt):
     """Mutual information between the observable and the profile."""
     table = infotheory.read_joint_table(table_path)
@@ -154,7 +152,6 @@ def _parse_bin_flag(text: str) -> tuple[str, schema_lib.BinRule]:
     "score=quantile:2, delay=cuts:0.33,0.66. Repeatable.",
 )
 @click.option("--out", "out_path", default=None, help="Write here instead of stdout.")
-@_handle_errors
 def discretize(schema_path, samples_path, bin_flags, out_path):
     """Bin continuous attributes so exact counting applies."""
     schema = schema_lib.load_schema(schema_path)
@@ -180,7 +177,6 @@ def discretize(schema_path, samples_path, bin_flags, out_path):
 )
 @click.option("--unit", type=UNIT_CHOICE, default=NATS, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def estimate(schema_path, samples_path, seed, bandwidth_flags, unit, fmt):
     """Estimate leakage I(X;S) from paired samples."""
     schema = schema_lib.load_schema(schema_path)
@@ -245,7 +241,6 @@ def _infer_rule(policy) -> str:
 @click.option("--unit", type=UNIT_CHOICE, default=NATS, show_default=True,
               help="Unit of --leakage and of the displayed leakage.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
     """Price an observable: production cost plus leakage surcharge."""
     policy = pricing.load_policy(policy_path)
@@ -307,7 +302,6 @@ def price(policy_path, rule, leakage, table_path, schema_path, unit, fmt):
               help="Unit of --entropy.")
 @click.option("--currency", default="USD", show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def calibrate(pi_max, entropy_value, unit, currency, fmt):
     """Rate per nat that reaches the maximum penalty at full disclosure."""
     # the policy of this ceiling and currency runs the checks every policy gets
@@ -330,7 +324,6 @@ def calibrate(pi_max, entropy_value, unit, currency, fmt):
 @click.option("--entropy", "entropy_value", type=float, default=None,
               help="Baseline H(S) in nats; required by the exposure rule.")
 @click.option("--out", "out_path", default=None, help="Write here instead of stdout.")
-@_handle_errors
 def curve(policy_path, rule, start, stop, step, entropy_value, out_path):
     """Tabulate price against leakage for plotting."""
     policy = pricing.load_policy(policy_path)
@@ -427,7 +420,6 @@ def _spooled_text(spool):
 @click.option("--session-id", default=None,
               help="Defaults to a content hash of policy, events and --decision.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def audit_cmd(policy_path, events_path, ledger_path, decision, session_id, fmt):
     """Replay an event stream into a priced, closed ledger."""
     policy = pricing.load_policy(policy_path)
@@ -471,7 +463,6 @@ def _print_report(report, count, rows, fmt):
 @main.command(name="report")
 @click.option("--ledger", "ledger_path", required=True, help="Ledger file to read.")
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
-@_handle_errors
 def report_cmd(ledger_path, fmt):
     """Re-render the closure report of an existing ledger."""
     ledger, events = audit_lib.iter_ledger(ledger_path)

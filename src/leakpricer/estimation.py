@@ -178,13 +178,11 @@ def kde_log_densities(
                 s_block *= x_block
                 joint_mean[lo:hi] = s_block.mean(axis=1)
 
-    if workers == 1:
-        work(0)
-    else:  # imported here: concurrent.futures would slow every command's start
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: concurrent.futures would slow every command's start
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:  # joins every worker on exit
-            list(pool.map(work, range(workers)))  # raises what a worker raised
+    with ThreadPoolExecutor(workers) as pool:  # joins every worker on exit
+        list(pool.map(work, range(workers)))  # raises what a worker raised
 
     kinds = ("joint", "x marginal", "s marginal")
     return LogDensities(*map(_log_density, (joint_mean, x_mean, s_mean), kinds))

@@ -223,14 +223,14 @@ def mutual_information(joint: JointTable, unit: str = NATS) -> InfoQuantity:
 
 
 def _exposure(joint: JointTable) -> tuple[float, float]:
-    """I(X; S) in nats and the exposure ratio, from one MI computation."""
+    """I(X; S) and H(S) in nats, from one MI computation; H(S) must be positive."""
     nats, h_s = _information(joint.probabilities)
     if h_s <= 0.0:
         raise ValidationError(
             "profile entropy is zero; exposure ratio undefined "
             "(the prior already determines the profile)"
         )
-    return nats, _exposure_ratio(nats, h_s)
+    return nats, h_s
 
 
 def _exposure_ratio(nats: float, h_nats: float) -> float:
@@ -246,7 +246,7 @@ def exposure_ratio(joint: JointTable) -> float:
     Endpoints are snapped within :data:`NEG_CLAMP` so exact zero and
     exact one survive round-off.
     """
-    return _exposure(joint)[1]
+    return _exposure_ratio(*_exposure(joint))
 
 
 def _subset_indices(schema: ProfileSchema, subset) -> list[int]:

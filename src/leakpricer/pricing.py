@@ -165,6 +165,14 @@ def _linear_surcharge(rate_per_nat, nats) -> Decimal:
     return to_decimal(rate_per_nat) * to_decimal(nats)
 
 
+def _surcharge(policy: PricingPolicy, rule: str, nats: float, h_nats=None) -> Decimal:
+    """Exact, unrounded surcharge for ``nats`` under the linear rule, or under the
+    exposure rule against a profile entropy of ``h_nats`` nats."""
+    if rule == LINEAR:
+        return _linear_surcharge(policy.rate_per_nat, nats)
+    return to_decimal(_exposure_ratio(nats, h_nats)) * policy.max_penalty
+
+
 def _quote(rule, leakage_nats, policy, surcharge) -> PriceQuote:
     return PriceQuote(
         rule=rule,
@@ -186,7 +194,7 @@ def price_linear(policy: PricingPolicy, leakage: InfoQuantity) -> PriceQuote:
     if policy.rate_per_nat is None:
         raise ValidationError("linear pricing needs a scalar rate in the policy")
     nats = leakage.in_nats()
-    return _quote(LINEAR, nats, policy, _linear_surcharge(policy.rate_per_nat, nats))
+    return _quote(LINEAR, nats, policy, _surcharge(policy, LINEAR, nats))
 
 
 def price_weighted(
@@ -220,9 +228,8 @@ def price_exposure(policy: PricingPolicy, joint: JointTable) -> PriceQuote:
     """
     if policy.max_penalty is None:
         raise ValidationError("exposure pricing needs a maximum penalty in the policy")
-    nats, ratio = _exposure(joint)
-    surcharge = to_decimal(ratio) * policy.max_penalty
-    return _quote(EXPOSURE, nats, policy, surcharge)
+    nats, h_nats = _exposure(joint)
+    return _quote(EXPOSURE, nats, policy, _surcharge(policy, EXPOSURE, nats, h_nats))
 
 
 def calibrate_lambda(max_penalty, baseline_entropy: InfoQuantity) -> float:
@@ -264,11 +271,7 @@ def convert_lambda(
             )
     if not (math.isfinite(rate) and rate > 0):
         raise ValidationError(f"rate must be finite and strictly positive, got {rate!r}")
-    factor = 1.0
-    if from_unit == NATS and to_unit == BITS:
-        factor = LN2
-    elif from_unit == BITS and to_unit == NATS:
-        factor = 1.0 / LN2
+    factor = InfoQuantity(1.0, to_unit).in_nats() / InfoQuantity(1.0, from_unit).in_nats()
     if exchange_rate is not None:
         rho = float(exchange_rate)
         if not (math.isfinite(rho) and rho > 0):
@@ -295,13 +298,10 @@ def price_curve(
         raise ValidationError(f"step must be positive, got {step!r}")
     if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start:
         raise ValidationError(f"invalid leakage range [{start}, {stop}]")
+    h_nats = None
     if rule == LINEAR:
         if policy.rate_per_nat is None:
             raise ValidationError("linear curve needs a scalar rate in the policy")
-
-        def total_at(nats: float) -> Decimal:
-            return policy.production_cost + _linear_surcharge(policy.rate_per_nat, nats)
-
     elif rule == EXPOSURE:
         if policy.max_penalty is None:
             raise ValidationError("exposure curve needs a maximum penalty in the policy")
@@ -314,11 +314,6 @@ def price_curve(
             raise ValidationError(
                 f"exposure leakage range must stay within [0, {h_nats!r}] nats"
             )
-
-        def total_at(nats: float) -> Decimal:
-            return (policy.production_cost
-                    + to_decimal(_exposure_ratio(nats, h_nats)) * policy.max_penalty)
-
     else:
         raise ValidationError(
             f"price curves support the linear and exposure rules, not {rule!r}"
@@ -333,7 +328,8 @@ def price_curve(
     if any(x1 <= x0 for x0, x1 in zip(leakages, leakages[1:])):
         raise ValidationError(f"step {step!r} is too small to separate the points of "
                               f"[{start}, {stop}] as floats")
-    return [(nats, total_at(nats)) for nats in leakages]
+    return [(nats, policy.production_cost + _surcharge(policy, rule, nats, h_nats))
+            for nats in leakages]
 
 
 # ---------------------------------------------------------------------------

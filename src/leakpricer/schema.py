@@ -21,10 +21,10 @@ Binning conventions, fixed once here so results are reproducible:
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -443,22 +443,19 @@ def _reading(path, **kwargs):
 
 
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file as they are read, endings kept; a missing
-    file, bytes that are not UTF-8 or another OSError are a ParseError naming it."""
+    """Yield the lines of a UTF-8 text file as they are read, endings kept and a
+    leading byte order mark dropped; a missing file, bytes that are not UTF-8 or
+    another OSError are a ParseError naming it."""
     # newline="" keeps line endings untranslated, as csv.reader needs
-    with _reading(path, encoding="utf-8", newline="") as fh:
+    with _reading(path, encoding="utf-8-sig", newline="") as fh:
         yield from fh
 
 
 def read_chunks(path):
-    """Yield the bytes of a UTF-8 text file in 64 KiB chunks, checked as UTF-8
-    on the way, with the errors of :func:`read_lines`."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    """Yield the bytes of a file in 64 KiB chunks, as they are, with the errors
+    of :func:`read_lines` on opening or reading."""
     with _reading(path, mode="rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            decode(chunk)
-            yield chunk
-        decode(b"", True)
+        yield from iter(lambda: fh.read(1 << 16), b"")
 
 
 def write_text(path, pieces) -> None:
@@ -483,13 +480,12 @@ def write_text(path, pieces) -> None:
 
 def read_csv_rows(path, what: str, ids: list | None = None):
     """Yield ``(line number, cells)`` for each non-blank record of a delimited
-    file, header first, a leading byte order mark dropped. Line numbers are
-    physical (blank lines count), a record's being that of its last line. Each
-    record has the header's cell count; no records is an ``empty <what> file``.
+    file, header first. Line numbers are physical (blank lines count), a record's
+    being that of its last line. Each record has the header's cell count; no
+    records is an ``empty <what> file``.
     With a list ``ids``, a data line seen before is not parsed or yielded again;
     ``ids`` gets each data record's position among the data records yielded."""
-    lines = read_lines(path)
-    numbered = enumerate(itertools.chain([next(lines, "").removeprefix("\ufeff")], lines), 1)
+    numbered = enumerate(read_lines(path), 1)
     rest = (line for _, line in numbered)
     limit, seen, width = csv.field_size_limit(), {}, None
     for lineno, line in numbered:
@@ -592,7 +588,7 @@ def load_yaml_doc(path, what: str, known) -> dict:
 
 
 def check_keys(mapping: dict, known, where: str, what: str) -> None:
-    """Reject the first unknown key in text order."""
+    """Reject an unknown key, naming the one that sorts first."""
     unknown = [key for key in mapping if key not in known]
     if unknown:
         raise ValidationError(f"{where}: unknown {what} key {min(unknown)!r}")
@@ -652,7 +648,10 @@ def load_samples(path, schema: ProfileSchema) -> SampleSet:
 
 
 def samples_to_csv(samples: SampleSet) -> str:
-    """Render a sample set back to delimited text in schema column order."""
-    # str of a float is its shortest round-trip form, as repr is
-    rows = [[spec.name for spec in samples.schema.columns], *samples.rows]
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    """Render a sample set back to CSV in schema column order; a cell holding a
+    comma, a quote or a newline is quoted."""
+    out = io.StringIO()
+    # csv writes a float as its repr, the shortest round-trip form
+    csv.writer(out, lineterminator="\n").writerows(
+        [[spec.name for spec in samples.schema.columns], *samples.rows])
+    return out.getvalue()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -24,10 +25,12 @@ from hypothesis import assume, given, settings, strategies as st
 from leakpricer import (
     LN2,
     AttributeSpec,
+    BinRule,
     InfoQuantity,
     ParseError,
     ProfileSchema,
     ValidationError,
+    discretize,
     intersection_leakage_report,
     load_policy,
     load_samples,
@@ -295,6 +298,30 @@ class TestDiscretizeCommand:
                         "--bins", "impairment=median")
         assert result.exit_code == 3
         assert "NAME=METHOD:ARGS" in result.stderr
+
+    def test_cells_with_commas_quotes_and_line_breaks_read_back(self, runner, tmp_path):
+        attributes = (
+            '  - {name: "g,h", kind: categorical, levels: ["a,b", "\\"q", "c\\nd"]}\n'
+            "  - {name: age, kind: %s}\n"
+            "observable: {name: x, kind: categorical, levels: [u, v]}\n"
+        )
+        schema, binned = tmp_path / "schema.yaml", tmp_path / "binned.yaml"
+        schema.write_text("attributes:\n" + attributes % "continuous, range: [0, 10]")
+        binned.write_text("attributes:\n" + attributes % "categorical, levels: [bin0, bin1]")
+        samples = tmp_path / "samples.csv"
+        with samples.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["g,h", "age", "x"])
+            writer.writerows((level, age, x) for level in ("a,b", '"q', "c\nd")
+                             for age in (1.5, 8.0) for x in "uv")
+        out = tmp_path / "out.csv"
+        ok(runner, "discretize", "--schema", schema, "--samples", samples,
+           "--bins", "age=cuts:5", "--out", out)
+        expected = discretize(load_samples(samples, load_schema(schema)),
+                              {"age": BinRule.explicit([5.0])})
+        assert load_samples(out, load_schema(binned)).rows == expected.rows
+        assert ok(runner, "estimate", "--schema", binned, "--samples", out).startswith(
+            "method = plug-in-counts\nn = 12\n")
 
 
 class TestPriceCommand:
@@ -753,6 +780,28 @@ class TestAuditCommand:
                  "--out", tmp_path / "ledger.jsonl")
         assert out.splitlines()[0] == "session 10eac660883f75d0"
 
+    def test_events_file_may_start_with_a_byte_order_mark(self, runner, data_dir, tmp_path):
+        marked = tmp_path / "events.jsonl"
+        marked.write_bytes("\ufeff".encode() + (data_dir / "events.jsonl").read_bytes())
+        outs = [ok(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                   "--events", events, "--out", tmp_path / f"{k}.jsonl", "--session-id", "s")
+                for k, events in enumerate([data_dir / "events.jsonl", marked])]
+        assert outs[0] == outs[1]
+        assert (tmp_path / "0.jsonl").read_bytes() == (tmp_path / "1.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("session_id", [(), ("--session-id", "s")])
+    def test_bad_line_wins_over_a_later_non_utf8_byte(self, runner, data_dir, tmp_path,
+                                                      session_id):
+        # the byte lies past the first read, so the line before it is checked first
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b'{"observable": "o", "leakage": -1}\n' + b" " * 10_000 + b"\n\xff\n")
+        result = invoke(runner, "audit", "--policy", data_dir / "policy_calibrated.yaml",
+                        "--events", events, "--out", tmp_path / "ledger.jsonl",
+                        "--decision", "granted", *session_id)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (
+            f"error: {events}:1: information value must be nonnegative, got -1.0\n")
+
     def test_invalid_event_wins_over_an_unwritable_out(self, runner, data_dir, tmp_path):
         events = tmp_path / "events.jsonl"
         events.write_text('{"observable": "obs", "leakage": -1}\n{"decision": "granted"}\n')
@@ -811,9 +860,10 @@ class TestAuditCommand:
 
 
 # Event lines with two faults each, after one good line, and the line and
-# fault each stream is refused for: the checks run in a fixed order, so the
-# message does not depend on how the stream is checked.
-TWO_FAULT_EVENTS = [
+# fault each stream is refused for, which also name the row's test: the checks
+# run in a fixed order, so the message does not depend on how the stream is
+# checked.
+TWO_FAULT_EVENTS = [pytest.param(*row, id="-".join(row)) for row in [
     ('{"observable": "o", "bogus": 1}', "2: unknown event key 'bogus'"),
     ('{"observable": 5, "leakage": 1.0, "unit": "furlongs"}',
      "2: event 'observable' must be a string, got 5"),
@@ -844,7 +894,7 @@ TWO_FAULT_EVENTS = [
     ('{"decision": "maybe", "extra": 1}', "2: unknown decision-line key 'extra'"),
     ('{"decision": "granted"}\n{"observable": "o", "bogus": 1}',
      "3: event after the decision line"),
-]
+]]
 
 
 @pytest.mark.parametrize("lines, error", TWO_FAULT_EVENTS)
@@ -926,6 +976,13 @@ class TestReportCommand:
                      "--format", "machine")
         reported = ok(runner, "report", "--ledger", ledger, "--format", "machine")
         assert json.loads(reported) == json.loads(audited)
+
+    def test_ledger_may_start_with_a_byte_order_mark(self, runner, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_text(DEMO_LEDGER, encoding="utf-8")
+        marked.write_text("\ufeff" + DEMO_LEDGER, encoding="utf-8")
+        assert ok(runner, "report", "--ledger", marked) == ok(runner, "report", "--ledger", plain)
+        assert read_ledger(marked) == read_ledger(plain)
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     def test_bad_closure_line_prints_nothing(self, runner, tmp_path, fmt):
@@ -1061,59 +1118,65 @@ class TestReportCommand:
         assert "still open" in result.stderr
 
 
-# Ledger event lines with two faults or oddities each: the fields changed from
-# the demo ledger's first event (as JSON text; None drops the field), the exit
-# code, and the error after the ledger's path. The checks run in a fixed order, so
-# the fault named does not depend on how the line is checked.
-TWO_FAULT_LEDGER_EVENTS = [
-    (dict(timestamp=None, observable="5"), 2, "2: malformed event: 'timestamp'"),
-    (dict(timestamp="5", observable="null"), 2,
+# Ledger event lines with two faults or oddities each: a name that stays with the
+# row, the fields changed from the demo ledger's first event (as JSON text; None
+# drops the field), the exit code, and the error after the ledger's path. The
+# checks run in a fixed order, so the fault named does not depend on how the line
+# is checked.
+TWO_FAULT_LEDGER_EVENTS = [pytest.param(fields, code, error, id=f"{name}-{code}-{error}")
+                           for name, fields, code, error in [
+    ("fields0", dict(timestamp=None, observable="5"), 2, "2: malformed event: 'timestamp'"),
+    ("fields1", dict(timestamp="5", observable="null"), 2,
      "2: malformed event: timestamp must be a string, got 5"),
-    (dict(observable="null", rule='"exposure"'), 2,
+    ("fields2", dict(observable="null", rule='"exposure"'), 2,
      "2: malformed event: observable must be a string, got None"),
-    (dict(rule=None, leakage_nats='"x"'), 2, "2: malformed event: 'rule'"),
-    (dict(rule='"exposure"', leakage_nats='"0.02"'), 2,
+    ("fields3", dict(rule=None, leakage_nats='"x"'), 2, "2: malformed event: 'rule'"),
+    ("fields4", dict(rule='"exposure"', leakage_nats='"0.02"'), 2,
      "2: malformed event: rule must be 'linear', got 'exposure'"),
-    (dict(leakage_nats=None, surcharge=None), 2, "2: malformed event: 'leakage_nats'"),
-    (dict(surcharge=None, sequence=None), 2, "2: malformed event: 'surcharge'"),
-    (dict(leakage_nats="true", sequence=None), 2,
+    ("fields5", dict(leakage_nats=None, surcharge=None), 2, "2: malformed event: 'leakage_nats'"),
+    ("fields6", dict(surcharge=None, sequence=None), 2, "2: malformed event: 'surcharge'"),
+    ("fields7", dict(leakage_nats="true", sequence=None), 2,
      "2: malformed event: leakage_nats must be a number, got True"),
-    (dict(sequence=None, surcharge='"lots"'), 2, "2: malformed event: 'sequence'"),
-    (dict(sequence=None, leakage_nats="1" + "0" * 400), 2, "2: malformed event: 'sequence'"),
-    (dict(leakage_nats="1" + "0" * 400, surcharge='"lots"'), 2,
+    ("fields8", dict(sequence=None, surcharge='"lots"'), 2, "2: malformed event: 'sequence'"),
+    ("fields9", dict(sequence=None, leakage_nats="1" + "0" * 400), 2,
+     "2: malformed event: 'sequence'"),
+    ("fields10", dict(leakage_nats="1" + "0" * 400, surcharge='"lots"'), 2,
      "2: malformed event: surcharge must be a decimal string or number, got 'lots'"),
-    (dict(surcharge='"lots"', sequence="0"), 2,
+    ("fields11", dict(surcharge='"lots"', sequence="0"), 2,
      "2: malformed event: surcharge must be a decimal string or number, got 'lots'"),
-    (dict(surcharge="[1]", leakage_nats="-1.0"), 2,
+    ("fields12", dict(surcharge="[1]", leakage_nats="-1.0"), 2,
      "2: malformed event: surcharge must be a decimal string or number, got [1]"),
-    (dict(sequence="1.5", surcharge='"NaN"'), 3,
+    ("fields13", dict(sequence="1.5", surcharge='"NaN"'), 3,
      "2: money amount must be finite, got Decimal('NaN')"),
-    (dict(sequence="1.5", surcharge='"sNaN"'), 3,
+    ("fields14", dict(sequence="1.5", surcharge='"sNaN"'), 3,
      "2: money amount must be finite, got Decimal('sNaN')"),
-    (dict(sequence="0", surcharge="1e999"), 3,
+    ("fields15", dict(sequence="0", surcharge="1e999"), 3,
      "2: money amount must be finite, got Decimal('Infinity')"),
-    (dict(sequence="1.5", leakage_nats="-1.0"), 2,
+    ("fields16", dict(sequence="1.5", leakage_nats="-1.0"), 2,
      "2: malformed event: 'float' object cannot be interpreted as an integer"),
-    (dict(sequence='"1"', surcharge='"-1"'), 2,
+    ("fields17", dict(sequence='"1"', surcharge='"-1"'), 2,
      "2: malformed event: 'str' object cannot be interpreted as an integer"),
-    (dict(sequence="0", leakage_nats="NaN"), 3, "2: event sequence numbers start at 1"),
-    (dict(sequence="-1", surcharge='"-1"'), 3, "2: event sequence numbers start at 1"),
-    (dict(leakage_nats="NaN", surcharge='"-1"'), 3,
+    ("fields18", dict(sequence="0", leakage_nats="NaN"), 3,
+     "2: event sequence numbers start at 1"),
+    ("fields19", dict(sequence="-1", surcharge='"-1"'), 3, "2: event sequence numbers start at 1"),
+    ("fields20", dict(leakage_nats="NaN", surcharge='"-1"'), 3,
      "2: event leakage must be finite and nonnegative, got nan"),
-    (dict(leakage_nats="-0.5", sequence="5"), 3,
+    ("fields21", dict(leakage_nats="-0.5", sequence="5"), 3,
      "2: event leakage must be finite and nonnegative, got -0.5"),
-    (dict(surcharge='"-0.0001"', sequence="7"), 3, "2: event surcharge must be nonnegative"),
-    (dict(surcharge="-1e-05", sequence="2"), 3, "2: event surcharge must be nonnegative"),
-    (dict(sequence="2", surcharge='"0.0000"'), 2,
+    ("fields22", dict(surcharge='"-0.0001"', sequence="7"), 3,
+     "2: event surcharge must be nonnegative"),
+    ("fields23", dict(surcharge="-1e-05", sequence="2"), 3,
+     "2: event surcharge must be nonnegative"),
+    ("fields24", dict(sequence="2", surcharge='"0.0000"'), 2,
      "2: event sequence 2 breaks the dense 1..n order"),
-    (dict(sequence="true", leakage_nats="1"), 3,
+    ("fields25", dict(sequence="true", leakage_nats="1"), 3,
      "4: closure total_leakage_nats 0.04 does not match 1.02 from the events"),
-    (dict(decision='"granted"', sequence="1.5"), 2, "3: event after the closure line"),
-    (dict(leakage_nats="1" + "0" * 400), 3,
+    ("fields26", dict(decision='"granted"', sequence="1.5"), 2, "3: event after the closure line"),
+    ("fields27", dict(leakage_nats="1" + "0" * 400), 3,
      "2: event leakage must be finite and nonnegative, got inf"),
-    (dict(leakage_nats="-1" + "0" * 400), 3,
+    ("fields28", dict(leakage_nats="-1" + "0" * 400), 3,
      "2: event leakage must be finite and nonnegative, got -inf"),
-]
+]]
 
 
 @pytest.mark.parametrize("fields, code, error", TWO_FAULT_LEDGER_EVENTS)

@@ -366,6 +366,15 @@ class TestRateConversion:
         got = convert_lambda(100.0, NATS, BITS, exchange_rate=0.9)
         assert got == pytest.approx(0.9 * LN2 * 100.0, rel=1e-9)
 
+    @pytest.mark.parametrize("rho", [None, 0.9, 1.37])
+    @pytest.mark.parametrize("units, factor", [
+        ((NATS, BITS), LN2), ((BITS, NATS), 1.0 / LN2), ((NATS, NATS), 1.0), ((BITS, BITS), 1.0),
+    ])
+    def test_factor_bit_for_bit(self, units, factor, rho):
+        for rate in (94339.62264150944, 12345.678, 0.1, 1e300):
+            want = rate * factor if rho is None else rate * (factor * rho)
+            assert convert_lambda(rate, *units, exchange_rate=rho) == want
+
     def test_same_unit_with_exchange_only(self):
         assert convert_lambda(50.0, NATS, NATS, exchange_rate=2.0) == pytest.approx(100.0)
         assert convert_lambda(50.0, BITS, BITS) == 50.0
